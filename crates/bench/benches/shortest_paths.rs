@@ -1,30 +1,26 @@
 //! E11: shortest-path ablation — per-source Dijkstra vs. Floyd–Warshall vs.
-//! the parallel/incremental [`PathEngine`].
+//! the parallel [`PathEngine`].
 //!
 //! Celestial replaces SILLEO-SCNS's path computation with "more efficient
 //! implementations of Dijkstra's algorithm and the Floyd–Warshall algorithm".
 //! This bench compares the stateless algorithms on +GRID constellation
-//! graphs of increasing size, the engine's parallel full solve and
-//! incremental timestep re-solve, and the single-source case the coordinator
-//! uses as the info-API fallback. The standalone `bench_paths` binary emits
-//! the same comparison as `BENCH_paths.json` for the perf trajectory.
+//! graphs of increasing size, the engine's parallel full solve, and the
+//! single-source case the coordinator uses as the info-API fallback. The
+//! standalone `bench_paths` binary emits the same comparison as
+//! `BENCH_paths.json` for the perf trajectory.
 
 use celestial_constellation::{Constellation, GroundStation, PathAlgorithm, PathEngine, Shell};
 use celestial_sgp4::WalkerShell;
 use celestial_types::geo::Geodetic;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn graph_at(planes: u32, per_plane: u32, t: f64) -> celestial_constellation::NetworkGraph {
+fn graph(planes: u32, per_plane: u32) -> celestial_constellation::NetworkGraph {
     let constellation = Constellation::builder()
         .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, planes, per_plane)))
         .ground_station(GroundStation::new("accra", Geodetic::new(5.6, -0.19, 0.0)))
         .build()
         .expect("valid constellation");
-    constellation.state_at(t).expect("state").graph().clone()
-}
-
-fn graph(planes: u32, per_plane: u32) -> celestial_constellation::NetworkGraph {
-    graph_at(planes, per_plane, 0.0)
+    constellation.state_at(0.0).expect("state").graph().clone()
 }
 
 fn bench_algorithms(c: &mut Criterion) {
@@ -50,23 +46,6 @@ fn bench_algorithms(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_incremental_timestep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental_timestep");
-    group.sample_size(10);
-    let g0 = graph_at(16, 16, 0.0);
-    let g1 = graph_at(16, 16, 2.0);
-    // Note: each iteration is a *pair* of solves (t0 and t2).
-    group.bench_function("engine_solve_pair_t0_t2", |b| {
-        let mut engine = PathEngine::new(PathAlgorithm::Incremental);
-        b.iter(|| {
-            engine.solve(&g0);
-            engine.solve(&g1);
-            engine.last_solve().solved_sources
-        });
-    });
-    group.finish();
-}
-
 fn bench_single_source(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_source_dijkstra");
     let g = graph(72, 22);
@@ -77,5 +56,5 @@ fn bench_single_source(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_algorithms, bench_incremental_timestep, bench_single_source);
+criterion_group!(benches, bench_algorithms, bench_single_source);
 criterion_main!(benches);

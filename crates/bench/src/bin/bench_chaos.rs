@@ -24,7 +24,8 @@
 //!
 //! Flags: `--quick` (10-simulated-minute smoke), `--duration-s S`,
 //! `--block-s S`, `--seed N`, `--shards N`, `--synchronous`,
-//! `--out FILE` (default `BENCH_chaos.json`).
+//! `--out FILE` (default `BENCH_chaos.json`, or
+//! `BENCH_chaos_smoke.json` under `--quick`).
 
 use celestial::config::{ChaosConfig, TestbedConfig};
 use celestial::invariants::{check_no_uncapped, programme_divergence, SoakMeter};
@@ -93,7 +94,7 @@ fn parse_options() -> Options {
         seed: 11,
         shards: 4,
         mode: PipelineMode::Pipelined,
-        out: "BENCH_chaos.json".to_owned(),
+        out: celestial_bench::bench_out("chaos", &args),
     };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {

@@ -32,7 +32,8 @@
 //!
 //! Flags: `--quick` (small graph, fewer epochs), `--planes N`,
 //! `--satellites-per-plane N`, `--epochs N`, `--interval-s S`,
-//! `--out FILE` (default `BENCH_epoch.json`).
+//! `--out FILE` (default `BENCH_epoch.json`, or
+//! `BENCH_epoch_smoke.json` under `--quick`).
 
 use celestial::pipeline::{EpochCompute, EpochPipeline, PipelineMode};
 use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
@@ -59,7 +60,7 @@ fn parse_options() -> Options {
         per_plane: 32,
         epochs: 20,
         interval_s: 1.0,
-        out: "BENCH_epoch.json".to_owned(),
+        out: celestial_bench::bench_out("epoch", &args),
     };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {

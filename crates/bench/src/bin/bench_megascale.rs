@@ -20,13 +20,13 @@
 //!
 //! Flags: `--quick` (small scales, fewer epochs), `--epochs N`,
 //! `--budget-ms N` (default 1000), `--out FILE` (default
-//! `BENCH_megascale.json`). Exits non-zero if the largest swept scale
-//! exceeds the budget or any scoped row differs from the full solve.
+//! `BENCH_megascale.json`, or `BENCH_megascale_smoke.json` under `--quick`).
+//! Exits non-zero if the largest swept scale exceeds the budget or any
+//! scoped row differs from the full solve.
 
 use celestial::pipeline::EpochCompute;
 use celestial_constellation::{
-    BoundingBox, Constellation, GroundStation, PathAlgorithm, PathEngine, ScopeParams, Shell,
-    SolveScope,
+    BoundingBox, Constellation, GroundStation, PathEngine, ScopeParams, Shell, SolveScope,
 };
 use celestial_sgp4::WalkerShell;
 use celestial_types::geo::Geodetic;
@@ -46,7 +46,7 @@ fn parse_options() -> Options {
         quick: false,
         epochs: 5,
         budget_ms: 1000.0,
-        out: "BENCH_megascale.json".to_owned(),
+        out: celestial_bench::bench_out("megascale", &args),
     };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -97,8 +97,8 @@ fn prove_rows_exact(planes: u32, per_plane: u32, t: f64) -> usize {
     let required: Vec<u32> =
         (0..state.node_count() as u32).filter(|&i| scope.is_required(i as usize)).collect();
 
-    let mut scoped = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
-    let mut full = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
+    let mut scoped = PathEngine::with_threads(1);
+    let mut full = PathEngine::with_threads(1);
     let scoped_paths = scoped.solve_scope(state.graph(), &scope);
     let full_paths = full.solve_sources(state.graph(), &required);
     let mut pairs = 0usize;

@@ -21,7 +21,8 @@
 //!
 //! Flags: `--quick` (small graph, fewer updates), `--planes N`,
 //! `--satellites-per-plane N`, `--updates N`, `--interval-s S`,
-//! `--out FILE` (default `BENCH_netprog.json`).
+//! `--out FILE` (default `BENCH_netprog.json`, or
+//! `BENCH_netprog_smoke.json` under `--quick`).
 
 use celestial::Coordinator;
 use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
@@ -48,7 +49,7 @@ fn parse_options() -> Options {
         per_plane: 32,
         updates: 10,
         interval_s: 1.0,
-        out: "BENCH_netprog.json".to_owned(),
+        out: celestial_bench::bench_out("netprog", &args),
     };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {

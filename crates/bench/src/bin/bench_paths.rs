@@ -3,9 +3,8 @@
 //! Compares, on a +GRID constellation graph, the seed implementation
 //! (nested-`Vec` adjacency, per-source allocation, `Option<usize>` next-hop
 //! matrix — reimplemented here verbatim as the baseline) against the CSR
-//! [`NetworkGraph`] and the parallel/incremental
-//! [`celestial_constellation::PathEngine`], plus the Floyd–Warshall
-//! reference on small graphs.
+//! [`NetworkGraph`] and the parallel [`celestial_constellation::PathEngine`],
+//! plus the Floyd–Warshall reference on small graphs.
 //!
 //! ```console
 //! $ cargo run --release -p celestial-bench --bin bench_paths            # 1000+ nodes
@@ -13,7 +12,8 @@
 //! ```
 //!
 //! Flags: `--quick` (small graph), `--planes N`, `--satellites-per-plane N`,
-//! `--out FILE` (default `BENCH_paths.json`).
+//! `--out FILE` (default `BENCH_paths.json`, or
+//! `BENCH_paths_smoke.json` under `--quick`).
 
 use celestial_constellation::path::{Cost, NetworkGraph, UNREACHABLE};
 use celestial_constellation::{Constellation, GroundStation, PathAlgorithm, PathEngine, Shell};
@@ -121,7 +121,7 @@ fn parse_options() -> Options {
     let mut options = Options {
         planes: 32,
         per_plane: 32,
-        out: "BENCH_paths.json".to_owned(),
+        out: celestial_bench::bench_out("paths", &args),
     };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -151,7 +151,7 @@ fn parse_options() -> Options {
     options
 }
 
-fn graph_at(options: &Options, t: f64) -> NetworkGraph {
+fn graph_of(options: &Options) -> NetworkGraph {
     let constellation = Constellation::builder()
         .shell(Shell::from_walker(WalkerShell::new(
             550.0,
@@ -163,13 +163,12 @@ fn graph_at(options: &Options, t: f64) -> NetworkGraph {
         .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
         .build()
         .expect("valid constellation");
-    constellation.state_at(t).expect("state").graph().clone()
+    constellation.state_at(0.0).expect("state").graph().clone()
 }
 
 fn main() {
     let options = parse_options();
-    let graph = graph_at(&options, 0.0);
-    let graph_next = graph_at(&options, 2.0);
+    let graph = graph_of(&options);
     let nodes = graph.node_count();
     let edges = graph.edge_count();
     println!("# bench_paths: {nodes} nodes, {edges} edges (+GRID {0}x{1})", options.planes, options.per_plane);
@@ -216,20 +215,6 @@ fn main() {
     });
     record("engine_ground_station_rows", ns, iters);
 
-    // Incremental timestep: alternate between the t=0 and t=2 s graphs; two
-    // solves happen per measured pair, so the recorded figure is halved to
-    // ns per solve (comparable with the entries above). On an orbital step
-    // every ISL is re-weighted, so this also covers the engine's
-    // delta-detection fallback to a full solve.
-    let mut engine = PathEngine::new(PathAlgorithm::Incremental);
-    engine.solve(&graph);
-    let (ns_pair, iters) = measure(2, || {
-        engine.solve(&graph_next);
-        engine.solve(&graph);
-        engine.last_solve().solved_sources
-    });
-    record("engine_incremental_timestep", ns_pair / 2, iters * 2);
-
     // Floyd–Warshall is cubic: only feasible on small graphs.
     if nodes <= 256 {
         let (ns, iters) = measure(2, || graph.floyd_warshall());
@@ -250,7 +235,7 @@ fn main() {
             per_plane,
             out: options.out.clone(),
         };
-        let graph = graph_at(&scale_options, 0.0);
+        let graph = graph_of(&scale_options);
         let mut engine = PathEngine::new(PathAlgorithm::Dijkstra);
         let (ns, iters) = measure(2, || {
             engine.solve(&graph);

@@ -18,7 +18,8 @@
 //! ```
 //!
 //! Flags: `--quick` (smaller fleets, fewer epochs), `--epochs N`,
-//! `--out FILE` (default `BENCH_scenarios.json`).
+//! `--out FILE` (default `BENCH_scenarios.json`, or
+//! `BENCH_scenarios_smoke.json` under `--quick`).
 
 use celestial::config::TestbedConfig;
 use celestial::testbed::GuestApplication;
@@ -44,7 +45,7 @@ fn parse_options() -> Options {
         epochs: 10,
         tenant_counts: vec![64, 256, 1_024],
         repro_tenants: 16,
-        out: "BENCH_scenarios.json".to_owned(),
+        out: celestial_bench::bench_out("scenarios", &args),
     };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {

@@ -45,13 +45,14 @@
 //! Flags: `--quick` (smaller graph, shorter runs), `--planes N`,
 //! `--satellites-per-plane N`, `--window-s S` (saturated-leg measurement
 //! window), `--epochs N` (handover leg), `--clients N`,
-//! `--out FILE` (default `BENCH_serve.json`).
+//! `--out FILE` (default `BENCH_serve.json`, or
+//! `BENCH_serve_smoke.json` under `--quick`).
 
 use celestial::config::ServeConfig;
 use celestial::info_api::InfoApi;
 use celestial::pipeline::PipelineMode;
 use celestial::Coordinator;
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
+use celestial_constellation::{BoundingBox, Constellation, GroundStation, ScopeParams, Shell};
 use celestial_serve::ServePlane;
 use celestial_sgp4::WalkerShell;
 use celestial_types::geo::Geodetic;
@@ -87,7 +88,7 @@ fn parse_options() -> Options {
         epochs: 40,
         clients: 2,
         window_s: 3.0,
-        out: "BENCH_serve.json".to_owned(),
+        out: celestial_bench::bench_out("serve", &args),
     };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -351,10 +352,13 @@ fn run_snapshot_saturated(options: &Options) -> (ReadMetrics, (u64, u64)) {
 /// with readers sharing the core), idle or under client load. Returns the
 /// mean per-epoch handover stall in milliseconds.
 fn run_handover(options: &Options, clients: u32, playout: Duration) -> f64 {
-    let mut coordinator = Coordinator::with_mode(
+    let mut coordinator = Coordinator::with_scoped_fanout(
         constellation(options),
         SimDuration::from_secs_f64(INTERVAL_S),
         PipelineMode::Pipelined,
+        None,
+        vec!["tenant-0".to_owned()],
+        ScopeParams::default(),
     );
     let store = coordinator.enable_snapshots();
     coordinator.update(0.0).expect("first update");

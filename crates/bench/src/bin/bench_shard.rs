@@ -28,11 +28,12 @@
 //!
 //! Flags: `--quick` (small graph, fewer updates), `--planes N`,
 //! `--satellites-per-plane N`, `--updates N`, `--interval-s S`,
-//! `--hosts A,B,C`, `--out FILE` (default `BENCH_shard.json`).
+//! `--hosts A,B,C`, `--out FILE` (default `BENCH_shard.json`, or
+//! `BENCH_shard_smoke.json` under `--quick`).
 
 use celestial::pipeline::PipelineMode;
 use celestial::Coordinator;
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
+use celestial_constellation::{BoundingBox, Constellation, GroundStation, ScopeParams, Shell};
 use celestial_netem::shard::{ShardPlan, ShardedNetwork};
 use celestial_netem::{HostOverlay, VirtualNetwork};
 use celestial_sgp4::WalkerShell;
@@ -59,7 +60,7 @@ fn parse_options() -> Options {
         updates: 10,
         interval_s: 1.0,
         hosts: vec![1, 2, 4, 8],
-        out: "BENCH_shard.json".to_owned(),
+        out: celestial_bench::bench_out("shard", &args),
     };
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -148,11 +149,13 @@ fn main() {
     let mut speedup_at_4 = None;
     for &hosts in &options.hosts {
         let plan = ShardPlan::new(hosts);
-        let mut coordinator = Coordinator::with_options(
+        let mut coordinator = Coordinator::with_scoped_fanout(
             base.clone(),
             SimDuration::from_secs_f64(options.interval_s),
             PipelineMode::Synchronous,
             Some(plan),
+            vec!["tenant-0".to_owned()],
+            ScopeParams::default(),
         );
         let mut global = VirtualNetwork::with_overlay(HostOverlay::new(hosts));
         // Two identical sharded planes: one applied serially so each

@@ -123,6 +123,18 @@ pub fn dart_app_config(
     }
 }
 
+/// The default output file of the `bench_<name>` binary given its
+/// arguments: `BENCH_<name>.json` for a full run and
+/// `BENCH_<name>_smoke.json` under `--quick`, so a smoke run never
+/// overwrites the committed full-run figures. `--out FILE` overrides it.
+pub fn bench_out(name: &str, args: &[String]) -> String {
+    if args.iter().any(|a| a == "--quick") {
+        format!("BENCH_{name}_smoke.json")
+    } else {
+        format!("BENCH_{name}.json")
+    }
+}
+
 /// Formats a series of `(x, y)` points as CSV with the given column names.
 pub fn csv(points: &[(f64, f64)], x_name: &str, y_name: &str) -> String {
     let mut out = format!("{x_name},{y_name}\n");
@@ -160,6 +172,12 @@ mod tests {
         assert!(quick_config.shells.len() <= full_config.shells.len());
         let dart_quick = dart_app_config(&quick, celestial_apps::DartDeployment::Central);
         assert!(dart_quick.buoy_count < 100);
+    }
+
+    #[test]
+    fn quick_bench_runs_default_to_smoke_files() {
+        assert_eq!(bench_out("epoch", &[]), "BENCH_epoch.json");
+        assert_eq!(bench_out("epoch", &["--quick".to_owned()]), "BENCH_epoch_smoke.json");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::bbox::BoundingBox;
 use crate::ground_station::GroundStation;
 use crate::isl::{isl_available, plus_grid_candidates, IslCandidate};
 use crate::links::{Link, LinkKind};
-use crate::path::{NetworkGraph, PathAlgorithm, ShortestPaths};
+use crate::path::{NetworkGraph, PathAlgorithm};
 use crate::shell::Shell;
 use crate::suppression::LinkSuppression;
 use celestial_sgp4::frames::eci_to_ecef;
@@ -22,7 +22,6 @@ pub struct Constellation {
     shells: Vec<Shell>,
     ground_stations: Vec<GroundStation>,
     bounding_box: BoundingBox,
-    path_algorithm: PathAlgorithm,
     /// One propagator per satellite, grouped by shell.
     propagators: Vec<Vec<Propagator>>,
     /// +GRID candidates per shell.
@@ -142,9 +141,11 @@ impl Constellation {
         }
     }
 
-    /// The shortest-path algorithm this constellation is configured with.
+    /// The shortest-path algorithm epochs of this constellation run: always
+    /// [`PathAlgorithm::Dijkstra`], the only one
+    /// [`ConstellationBuilder::build`] accepts.
     pub fn path_algorithm(&self) -> PathAlgorithm {
-        self.path_algorithm
+        PathAlgorithm::Dijkstra
     }
 
     /// The ground station with the given name, if any.
@@ -212,14 +213,12 @@ impl Constellation {
             active: Vec::new(),
             links: Vec::new(),
             graph: NetworkGraph::new(self.node_count()),
-            path_algorithm: self.path_algorithm,
             shell_offsets: Vec::new(),
             satellite_total: self.satellite_total,
             ground_station_total: self.ground_stations.len(),
             suppressed_links: 0,
         });
         state.time_seconds = t_seconds;
-        state.path_algorithm = self.path_algorithm;
         state.shell_offsets.clone_from(&self.shell_offsets);
         state.satellite_total = self.satellite_total;
         state.ground_station_total = self.ground_stations.len();
@@ -416,7 +415,9 @@ impl ConstellationBuilder {
         self
     }
 
-    /// Sets the shortest-path algorithm used when computing all-pairs paths.
+    /// Sets the shortest-path algorithm. Only [`PathAlgorithm::Dijkstra`]
+    /// builds; every other value makes [`ConstellationBuilder::build`] fail
+    /// with a migration message.
     pub fn path_algorithm(mut self, algorithm: PathAlgorithm) -> Self {
         self.path_algorithm = algorithm;
         self
@@ -430,8 +431,10 @@ impl ConstellationBuilder {
     /// has no satellites, any generated orbital elements are invalid, or a
     /// configured link bandwidth is unusable (zero) or unbounded
     /// ([`celestial_types::Bandwidth::INFINITY`] would let the network
-    /// programme emit an uncapped emulated link).
+    /// programme emit an uncapped emulated link), or the path algorithm was
+    /// removed ([`PathAlgorithm::ensure_supported`]).
     pub fn build(self) -> Result<Constellation> {
+        self.path_algorithm.ensure_supported()?;
         if self.shells.is_empty() {
             return Err(Error::config("a constellation needs at least one shell"));
         }
@@ -481,7 +484,6 @@ impl ConstellationBuilder {
             shells: self.shells,
             ground_stations: self.ground_stations,
             bounding_box: self.bounding_box.unwrap_or_default(),
-            path_algorithm: self.path_algorithm,
             propagators,
             isl_candidates,
             shell_offsets,
@@ -508,7 +510,6 @@ pub struct ConstellationState {
     /// All links available at this instant.
     pub links: Vec<Link>,
     graph: NetworkGraph,
-    path_algorithm: PathAlgorithm,
     shell_offsets: Vec<usize>,
     satellite_total: usize,
     ground_station_total: usize,
@@ -525,7 +526,6 @@ impl Clone for ConstellationState {
             active: self.active.clone(),
             links: self.links.clone(),
             graph: self.graph.clone(),
-            path_algorithm: self.path_algorithm,
             shell_offsets: self.shell_offsets.clone(),
             satellite_total: self.satellite_total,
             ground_station_total: self.ground_station_total,
@@ -543,7 +543,6 @@ impl Clone for ConstellationState {
         self.active.clone_from(&source.active);
         self.links.clone_from(&source.links);
         self.graph.clone_from(&source.graph);
-        self.path_algorithm = source.path_algorithm;
         self.shell_offsets.clone_from(&source.shell_offsets);
         self.satellite_total = source.satellite_total;
         self.ground_station_total = source.ground_station_total;
@@ -716,12 +715,6 @@ impl ConstellationState {
         })
     }
 
-    /// The shortest-path algorithm configured for this state's all-pairs
-    /// computations.
-    pub fn path_algorithm(&self) -> PathAlgorithm {
-        self.path_algorithm
-    }
-
     /// Computes the shortest path from `a` to `b` as a sequence of node
     /// identifiers, or `None` if unreachable.
     ///
@@ -753,12 +746,6 @@ impl ConstellationState {
             .map(|idx| self.node_id(idx))
             .collect::<Result<Vec<_>>>()
             .map(Some)
-    }
-
-    /// Computes all-pairs shortest paths with the constellation's configured
-    /// algorithm.
-    pub fn all_pairs_paths(&self) -> ShortestPaths {
-        self.graph.shortest_paths(self.path_algorithm)
     }
 
     /// The best uplink satellite for a ground station: the visible satellite

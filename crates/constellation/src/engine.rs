@@ -1,61 +1,40 @@
-//! The high-throughput path engine: parallel, source-restricted and
-//! incrementally recomputing all-pairs shortest paths.
+//! The high-throughput path engine: the scoped, parallel shortest-path
+//! solve every epoch runs.
 //!
 //! The coordinator must recompute shortest paths over the whole
 //! constellation graph at every update interval, which dominates its cost at
 //! scale (§3.1). [`PathEngine`] attacks that hot path in three ways on top
 //! of the CSR representation of [`crate::path::NetworkGraph`]:
 //!
-//! 1. **Scratch reuse** — result matrices, worker heaps and diff buffers are
-//!    owned by the engine and recycled, so a steady-state timestep solve
-//!    performs no allocation beyond what the OS hands back to the reused
-//!    buffers.
-//! 2. **Parallel per-source Dijkstra** — sources are fanned out over
+//! 1. **Scoped rows** — [`SolveScope`] restricts the solve to the rows the
+//!    programme needs, and each row runs a bounded Dijkstra that stops once
+//!    every required node is settled. Every entry a reader can see is
+//!    bit-identical to a full solve (see `docs/MEGASCALE.md`).
+//! 2. **Parallel per-source Dijkstra** — rows are fanned out over
 //!    `std::thread::scope` workers (no external dependencies), each writing
 //!    into disjoint rows of the flat result matrix.
-//! 3. **Incremental timestep recompute** — the engine diffs the canonical
-//!    edge list against the previous timestep and re-solves only sources
-//!    whose shortest paths can be affected, falling back to a full solve
-//!    when the delta is large.
+//! 3. **Scratch reuse** — the result matrix and the worker heaps are owned
+//!    by the engine and rewritten in place, so a steady-state solve performs
+//!    no allocation beyond what the OS hands back to the reused buffers.
 //!
 //! The graph's per-edge bandwidth channel is deliberately invisible here:
-//! paths are selected by latency alone, so a bandwidth-only change between
-//! timesteps re-solves nothing — the coordinator's programme delta picks the
-//! new bandwidth up when it walks the (unchanged) predecessor chains.
+//! paths are selected by latency alone, and the coordinator's programme
+//! delta picks bandwidth changes up when it walks the predecessor chains.
 //!
-//! `docs/PATHS.md` is the user-facing guide to choosing between the
-//! algorithms and to the `path-algorithm` configuration key.
+//! `docs/PATHS.md` describes the solve and the `path-algorithm`
+//! configuration key, which only accepts `"dijkstra"`.
 
 use crate::bbox::BoundingBox;
 use crate::constellation::ConstellationState;
-use crate::path::{
-    Cost, DijkstraHeap, Edge, NetworkGraph, PathAlgorithm, ShortestPaths,
-    AUTO_FLOYD_WARSHALL_MAX_NODES, UNREACHABLE,
-};
+use crate::path::{Cost, DijkstraHeap, NetworkGraph, PathAlgorithm, ShortestPaths};
 
-/// If more than this fraction of edges changed between timesteps, the
-/// incremental path gives up and re-solves everything: diffing and
-/// affected-source classification would cost more than they save.
-const MAX_INCREMENTAL_EDGE_DELTA: f64 = 0.25;
-
-/// Minimum edge-delta budget, so that small graphs (where classification is
-/// nearly free) still take the incremental path.
-const MIN_INCREMENTAL_EDGE_BUDGET: usize = 8;
-
-/// If more than this fraction of sources is affected by the edge delta, a
-/// full solve is cheaper than bookkeeping which rows to keep.
-const MAX_INCREMENTAL_AFFECTED: f64 = 0.5;
-
-/// How a [`PathEngine::solve_sources`] call was actually executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a solve was executed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveKind {
-    /// Every requested source row was solved with per-source Dijkstra.
+    /// Every requested source row was solved with a full per-source
+    /// Dijkstra ([`PathEngine::solve_sources`]).
+    #[default]
     FullDijkstra,
-    /// The full all-pairs matrix was computed with Floyd–Warshall.
-    FloydWarshall,
-    /// Rows untouched by the edge delta were reused from the previous
-    /// timestep; only affected sources were re-solved.
-    Incremental,
     /// A [`SolveScope`]-restricted solve: bounded per-source Dijkstra runs
     /// that terminate once every required (programme) target is settled,
     /// plus full rows for the ALT landmarks.
@@ -64,18 +43,12 @@ pub enum SolveKind {
 
 /// Statistics about the most recent solve, for logging, benchmarks and
 /// tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveStats {
     /// How the solve was executed.
     pub kind: SolveKind,
-    /// Number of source rows actually re-solved.
+    /// Number of source rows solved.
     pub solved_sources: usize,
-    /// Number of source rows copied over from the previous timestep.
-    pub reused_sources: usize,
-    /// Edges added (or re-weighted) relative to the previous timestep.
-    pub edges_added: usize,
-    /// Edges removed (or re-weighted) relative to the previous timestep.
-    pub edges_removed: usize,
     /// Scoped solves only: number of in-scope source rows solved.
     pub scope_sources: usize,
     /// Scoped solves only: number of required (programme) target nodes each
@@ -87,22 +60,6 @@ pub struct SolveStats {
     /// the figure that shows how much work the early termination saved
     /// (compare with `scope_sources × node_count` for a full solve).
     pub scope_settled: u64,
-}
-
-impl Default for SolveStats {
-    fn default() -> Self {
-        SolveStats {
-            kind: SolveKind::FullDijkstra,
-            solved_sources: 0,
-            reused_sources: 0,
-            edges_added: 0,
-            edges_removed: 0,
-            scope_sources: 0,
-            scope_required: 0,
-            scope_landmarks: 0,
-            scope_settled: 0,
-        }
-    }
 }
 
 /// Tuning knobs of the scope derivation (the `[paths]` table of the
@@ -323,10 +280,10 @@ impl SolveScope {
     }
 }
 
-/// A reusable, parallel, incrementally recomputing shortest-path solver.
+/// A reusable, parallel shortest-path solver.
 ///
-/// The engine owns the result matrices and all scratch memory; feeding it
-/// the graph of each timestep returns a borrowed [`ShortestPaths`] without
+/// The engine owns the result matrix and all scratch memory; feeding it the
+/// graph of each timestep returns a borrowed [`ShortestPaths`] without
 /// re-allocating in steady state.
 ///
 /// # Examples
@@ -337,7 +294,7 @@ impl SolveScope {
 ///
 /// // Timestep 0: a 3-node line 0 —10— 1 —10— 2.
 /// let g0 = NetworkGraph::from_edges(3, [(0, 1, 10), (1, 2, 10)]);
-/// let mut engine = PathEngine::new(PathAlgorithm::Auto);
+/// let mut engine = PathEngine::new(PathAlgorithm::Dijkstra);
 /// let paths = engine.solve(&g0);
 /// assert_eq!(paths.latency_micros(0, 2), Some(20));
 /// assert_eq!(paths.path(0, 2), Some(vec![0, 1, 2]));
@@ -351,64 +308,53 @@ impl SolveScope {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PathEngine {
-    algorithm: PathAlgorithm,
     threads: usize,
-    /// Canonical edge list of the previously solved graph.
-    prev_edges: Vec<Edge>,
-    /// Whether `paths` holds a valid previous solve to build on.
-    have_prev: bool,
-    /// Whether the previous solve was scoped (bounded rows can never seed an
-    /// incremental solve — their tentative entries are not reusable).
-    prev_scoped: bool,
-    /// The current (front) result.
+    /// Whether `paths` holds a solve.
+    solved: bool,
+    /// The result, rewritten in place by every solve.
     paths: ShortestPaths,
-    /// The back buffer the next solve is assembled into.
-    spare: ShortestPaths,
     /// One Dijkstra heap per worker thread, reused across solves.
     heaps: Vec<DijkstraHeap>,
-    /// Diff buffers reused across solves.
-    added: Vec<Edge>,
-    removed: Vec<Edge>,
-    affected: Vec<bool>,
+    /// `0..n` for [`PathEngine::solve`], kept across solves.
     all_sources: Vec<u32>,
-    /// Per-row settled-node counts of the most recent scoped solve (scratch).
+    /// Per-row settled-node counts of the most recent solve (scratch).
     row_settled: Vec<u32>,
     stats: SolveStats,
 }
 
+/// One row job of a solve: source, bounded?, distance row, predecessor row,
+/// exactness bound and settled-node count.
+type RowJob<'a> = (u32, bool, &'a mut [Cost], &'a mut [u32], &'a mut Cost, &'a mut u32);
+
 impl PathEngine {
     /// Creates an engine with as many worker threads as the machine offers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `algorithm` is [`PathAlgorithm::Dijkstra`]: every other
+    /// algorithm was removed (see [`PathAlgorithm::ensure_supported`]).
     pub fn new(algorithm: PathAlgorithm) -> Self {
+        if let Err(e) = algorithm.ensure_supported() {
+            panic!("{e}");
+        }
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        Self::with_threads(algorithm, threads)
+        Self::with_threads(threads)
     }
 
     /// Creates an engine with an explicit worker-thread count (1 solves on
     /// the calling thread without spawning).
-    pub fn with_threads(algorithm: PathAlgorithm, threads: usize) -> Self {
+    pub fn with_threads(threads: usize) -> Self {
         PathEngine {
-            algorithm,
             threads: threads.max(1),
-            prev_edges: Vec::new(),
-            have_prev: false,
-            prev_scoped: false,
-            paths: ShortestPaths::empty(0),
-            spare: ShortestPaths::empty(0),
+            solved: false,
+            paths: ShortestPaths::for_all_sources(0),
             heaps: Vec::new(),
-            added: Vec::new(),
-            removed: Vec::new(),
-            affected: Vec::new(),
             all_sources: Vec::new(),
             row_settled: Vec::new(),
             stats: SolveStats::default(),
         }
-    }
-
-    /// The configured algorithm.
-    pub fn algorithm(&self) -> PathAlgorithm {
-        self.algorithm
     }
 
     /// The configured worker-thread count.
@@ -423,11 +369,7 @@ impl PathEngine {
 
     /// The most recent result, if any solve has happened.
     pub fn paths(&self) -> Option<&ShortestPaths> {
-        if self.have_prev {
-            Some(&self.paths)
-        } else {
-            None
-        }
+        self.solved.then_some(&self.paths)
     }
 
     /// Solves shortest paths from *every* node of `graph`.
@@ -438,151 +380,31 @@ impl PathEngine {
             self.all_sources.extend(0..n);
         }
         let sources = std::mem::take(&mut self.all_sources);
-        self.solve_sources_inner(graph, &sources);
+        self.solve_sources(graph, &sources);
         self.all_sources = sources;
         &self.paths
     }
 
-    /// Solves shortest paths restricted to the given source nodes (for the
-    /// coordinator: ground stations plus active satellites — satellites
-    /// outside the bounding box carry traffic on paths but never originate a
-    /// programmed pair, so their rows are never needed).
+    /// Solves full shortest-path rows for the given source nodes. This is
+    /// the reference the scoped solve's exactness is tested against.
     ///
     /// # Panics
     ///
     /// Panics if a source index is out of range for `graph`.
     pub fn solve_sources(&mut self, graph: &NetworkGraph, sources: &[u32]) -> &ShortestPaths {
-        self.solve_sources_inner(graph, sources);
-        &self.paths
-    }
-
-    fn solve_sources_inner(&mut self, graph: &NetworkGraph, sources: &[u32]) {
         let n = graph.node_count();
         assert!(
             sources.iter().all(|&s| (s as usize) < n),
             "source index out of range"
         );
-
-        if n == 0 {
-            // Degenerate empty graph: an empty result, no rows to chunk.
-            self.spare.reset(0, sources);
-            std::mem::swap(&mut self.paths, &mut self.spare);
-            self.stats = SolveStats::default();
-            self.finish(graph, false);
-            return;
-        }
-
-        let incremental_allowed = matches!(
-            self.algorithm,
-            PathAlgorithm::Incremental | PathAlgorithm::Auto
-        );
-        let use_floyd_warshall = match self.algorithm {
-            PathAlgorithm::FloydWarshall => true,
-            PathAlgorithm::Auto => {
-                n <= AUTO_FLOYD_WARSHALL_MAX_NODES && sources.len() == n
-            }
-            _ => false,
-        };
-
-        if use_floyd_warshall {
-            self.paths = graph.floyd_warshall();
-            self.stats = SolveStats {
-                kind: SolveKind::FloydWarshall,
-                solved_sources: n,
-                ..SolveStats::default()
-            };
-            self.finish(graph, false);
-            return;
-        }
-
-        // Diff the edge set against the previous timestep and classify the
-        // sources whose rows can be reused.
-        let mut incremental = false;
-        if incremental_allowed && self.compatible_previous(graph, sources) {
-            self.diff_edges(graph);
-            let delta = self.added.len() + self.removed.len();
-            let budget = ((self.prev_edges.len() as f64 * MAX_INCREMENTAL_EDGE_DELTA) as usize)
-                .max(MIN_INCREMENTAL_EDGE_BUDGET);
-            if delta <= budget {
-                self.classify_affected();
-                let affected = self.affected.iter().filter(|a| **a).count();
-                if (affected as f64) <= sources.len() as f64 * MAX_INCREMENTAL_AFFECTED {
-                    incremental = true;
-                }
-            }
-        }
-
-        self.spare.reset(n as u32, sources);
-        let mut solved = 0usize;
-        let mut reused = 0usize;
-        {
-            let row_len = n;
-            let ShortestPaths {
-                dist: spare_dist,
-                prev: spare_prev,
-                ..
-            } = &mut self.spare;
-            // One job per row that needs a fresh Dijkstra run; reused rows
-            // are copied straight out of the previous result.
-            let mut jobs: Vec<(u32, &mut [Cost], &mut [u32])> = Vec::new();
-            for ((row, (dist_row, prev_row)), &source) in spare_dist
-                .chunks_mut(row_len)
-                .zip(spare_prev.chunks_mut(row_len))
-                .enumerate()
-                .zip(sources.iter())
-            {
-                let keep = incremental && !self.affected[row];
-                if keep {
-                    let old_row = self.paths.rows[source as usize] as usize;
-                    dist_row.copy_from_slice(&self.paths.dist[old_row * row_len..(old_row + 1) * row_len]);
-                    prev_row.copy_from_slice(&self.paths.prev[old_row * row_len..(old_row + 1) * row_len]);
-                    reused += 1;
-                } else {
-                    jobs.push((source, dist_row, prev_row));
-                    solved += 1;
-                }
-            }
-
-            let workers = self.threads.min(jobs.len()).max(1);
-            while self.heaps.len() < workers {
-                self.heaps.push(DijkstraHeap::new());
-            }
-            if workers <= 1 {
-                if let Some(heap) = self.heaps.first_mut() {
-                    for (source, dist_row, prev_row) in &mut jobs {
-                        graph.dijkstra_into(*source, dist_row, prev_row, heap);
-                    }
-                } else {
-                    debug_assert!(jobs.is_empty());
-                }
-            } else {
-                let per_worker = jobs.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for (chunk, heap) in jobs.chunks_mut(per_worker).zip(self.heaps.iter_mut()) {
-                        scope.spawn(move || {
-                            for (source, dist_row, prev_row) in chunk {
-                                graph.dijkstra_into(*source, dist_row, prev_row, heap);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-
-        std::mem::swap(&mut self.paths, &mut self.spare);
+        self.paths.reset(n as u32, sources);
+        self.solve_rows(graph, None);
         self.stats = SolveStats {
-            kind: if incremental {
-                SolveKind::Incremental
-            } else {
-                SolveKind::FullDijkstra
-            },
-            solved_sources: solved,
-            reused_sources: reused,
-            edges_added: if incremental { self.added.len() } else { 0 },
-            edges_removed: if incremental { self.removed.len() } else { 0 },
+            kind: SolveKind::FullDijkstra,
+            solved_sources: sources.len(),
             ..SolveStats::default()
         };
-        self.finish(graph, false);
+        &self.paths
     }
 
     /// Solves the rows of a [`SolveScope`]: every source row is computed with
@@ -597,10 +419,6 @@ impl PathEngine {
     /// and must be re-queried through
     /// [`ShortestPaths::one_shot_latency`](crate::path::ShortestPaths::one_shot_latency).
     ///
-    /// Scoped solves never reuse previous rows and never seed a later
-    /// incremental solve (a bounded row's tentative entries are not
-    /// reusable).
-    ///
     /// # Panics
     ///
     /// Panics if the scope was derived for a different node count than
@@ -611,98 +429,12 @@ impl PathEngine {
             scope.node_count as usize, n,
             "scope node count does not match the graph"
         );
-
-        let use_floyd_warshall = match self.algorithm {
-            PathAlgorithm::FloydWarshall => true,
-            PathAlgorithm::Auto => n <= AUTO_FLOYD_WARSHALL_MAX_NODES,
-            _ => false,
-        };
-        if n == 0 || use_floyd_warshall {
-            // Tiny graphs: the full cubic sweep is cheaper than bounding and
-            // yields every row exact, which satisfies the scope trivially.
-            self.solve_sources_inner(graph, &scope.sources);
-            return &self.paths;
-        }
-
-        // Scoped solves never reuse previous rows, so they skip the
-        // double-buffer swap and write into the result in place: at mega
-        // scale the row matrix runs to hundreds of megabytes, and keeping a
-        // second one both doubles peak memory and pays a first-touch stall
-        // for every page of the spare on the second epoch.
+        // The result is written in place: at mega scale the row matrix runs
+        // to hundreds of megabytes, and a second buffer would both double
+        // peak memory and pay a first-touch stall for every page of it.
         self.paths.reset(n as u32, &scope.sources);
         self.paths.landmarks.extend_from_slice(&scope.landmarks);
-        self.row_settled.clear();
-        self.row_settled.resize(scope.sources.len(), 0);
-        {
-            let ShortestPaths {
-                dist: spare_dist,
-                prev: spare_prev,
-                exact_bounds,
-                ..
-            } = &mut self.paths;
-            // One job per row: (source, landmark?, dist, prev, bound,
-            // settled). Landmark rows run the unbounded kernel and keep
-            // their reset-time bound of UNREACHABLE (fully exact).
-            let mut jobs: Vec<(u32, bool, &mut [Cost], &mut [u32], &mut Cost, &mut u32)> =
-                Vec::with_capacity(scope.sources.len());
-            for ((((dist_row, prev_row), bound), settled), &source) in spare_dist
-                .chunks_mut(n)
-                .zip(spare_prev.chunks_mut(n))
-                .zip(exact_bounds.iter_mut())
-                .zip(self.row_settled.iter_mut())
-                .zip(scope.sources.iter())
-            {
-                let landmark = scope.landmarks.binary_search(&source).is_ok();
-                jobs.push((source, landmark, dist_row, prev_row, bound, settled));
-            }
-
-            let workers = self.threads.min(jobs.len()).max(1);
-            while self.heaps.len() < workers {
-                self.heaps.push(DijkstraHeap::new());
-            }
-            let required = &scope.required;
-            let required_count = scope.required_count;
-            let run = |job: &mut (u32, bool, &mut [Cost], &mut [u32], &mut Cost, &mut u32),
-                       heap: &mut DijkstraHeap| {
-                let (source, landmark, dist_row, prev_row, bound, settled) = job;
-                if *landmark {
-                    graph.dijkstra_into(*source, dist_row, prev_row, heap);
-                    **settled = n as u32;
-                } else {
-                    let (b, s) = graph.dijkstra_bounded_into(
-                        *source,
-                        required,
-                        required_count,
-                        dist_row,
-                        prev_row,
-                        heap,
-                    );
-                    **bound = b;
-                    **settled = s;
-                }
-            };
-            if workers <= 1 {
-                if let Some(heap) = self.heaps.first_mut() {
-                    for job in &mut jobs {
-                        run(job, heap);
-                    }
-                } else {
-                    debug_assert!(jobs.is_empty());
-                }
-            } else {
-                let per_worker = jobs.len().div_ceil(workers);
-                std::thread::scope(|s| {
-                    for (chunk, heap) in jobs.chunks_mut(per_worker).zip(self.heaps.iter_mut()) {
-                        s.spawn(move || {
-                            for job in chunk {
-                                run(job, heap);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-
+        self.solve_rows(graph, Some(scope));
         self.stats = SolveStats {
             kind: SolveKind::Scoped,
             solved_sources: scope.sources.len(),
@@ -710,93 +442,83 @@ impl PathEngine {
             scope_required: scope.required_count as usize,
             scope_landmarks: scope.landmarks.len(),
             scope_settled: self.row_settled.iter().map(|&s| u64::from(s)).sum(),
-            ..SolveStats::default()
         };
-        self.finish(graph, true);
         &self.paths
     }
 
-    /// Records the solved graph's edges as the new previous timestep.
-    fn finish(&mut self, graph: &NetworkGraph, scoped: bool) {
-        self.prev_edges.clear();
-        self.prev_edges.extend_from_slice(graph.edges());
-        self.have_prev = true;
-        self.prev_scoped = scoped;
-    }
-
-    /// Whether the previous solve can seed an incremental one: same node
-    /// count and the same solved source set, in the same order — and the
-    /// previous solve was not scoped (bounded rows hold tentative entries
-    /// that must never be copied forward).
-    fn compatible_previous(&self, graph: &NetworkGraph, sources: &[u32]) -> bool {
-        self.have_prev
-            && !self.prev_scoped
-            && self.paths.node_count() == graph.node_count()
-            && self.paths.solved_sources() == sources
-    }
-
-    /// Merge-walks the two sorted canonical edge lists into `added` /
-    /// `removed` (a re-weighted edge appears in both).
-    fn diff_edges(&mut self, graph: &NetworkGraph) {
-        self.added.clear();
-        self.removed.clear();
-        let old = &self.prev_edges;
-        let new = graph.edges();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < old.len() && j < new.len() {
-            let (oa, ob, ow) = old[i];
-            let (na, nb, nw) = new[j];
-            match (oa, ob).cmp(&(na, nb)) {
-                std::cmp::Ordering::Less => {
-                    self.removed.push(old[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.added.push(new[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if ow != nw {
-                        self.removed.push(old[i]);
-                        self.added.push(new[j]);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
+    /// Solves every row of the freshly reset result in place, fanned out
+    /// over the worker threads. Without a scope every row runs the full
+    /// kernel; with one, non-landmark rows run the bounded kernel and record
+    /// their exactness bound (landmark rows keep the reset-time bound of
+    /// `UNREACHABLE`, fully exact).
+    fn solve_rows(&mut self, graph: &NetworkGraph, scope: Option<&SolveScope>) {
+        self.solved = true;
+        let n = graph.node_count();
+        let rows = self.paths.sources.len();
+        self.row_settled.clear();
+        self.row_settled.resize(rows, 0);
+        if rows == 0 {
+            return;
         }
-        self.removed.extend_from_slice(&old[i..]);
-        self.added.extend_from_slice(&new[j..]);
-    }
+        let ShortestPaths {
+            sources,
+            dist,
+            prev,
+            exact_bounds,
+            ..
+        } = &mut self.paths;
+        let mut jobs: Vec<RowJob<'_>> = Vec::with_capacity(rows);
+        for ((((dist_row, prev_row), bound), settled), &source) in dist
+            .chunks_mut(n)
+            .zip(prev.chunks_mut(n))
+            .zip(exact_bounds.iter_mut())
+            .zip(self.row_settled.iter_mut())
+            .zip(sources.iter())
+        {
+            let bounded = scope.is_some_and(|s| s.landmarks.binary_search(&source).is_err());
+            jobs.push((source, bounded, dist_row, prev_row, bound, settled));
+        }
 
-    /// Marks the source rows whose shortest paths can be affected by the
-    /// edge delta.
-    ///
-    /// For a removed (or weight-increased) edge `(u, v, w)`, a source `s` is
-    /// affected iff the edge lies on *some* shortest path from `s`, i.e.
-    /// `dist[s][u] + w == dist[s][v]` in either direction — any
-    /// shortest-path tree edge satisfies that equality, so unaffected rows
-    /// keep valid predecessor trees. For an added (or weight-decreased) edge,
-    /// `s` is affected iff the edge offers a strict improvement at one of
-    /// its endpoints: `dist[s][u] + w < dist[s][v]` or vice versa. Chains of
-    /// simultaneously added edges are covered because every prefix of a new
-    /// path ends in an edge whose endpoints pass exactly this test.
-    fn classify_affected(&mut self) {
-        let n = self.paths.node_count();
-        let rows = self.paths.source_count();
-        self.affected.clear();
-        self.affected.resize(rows, false);
-        for row in 0..rows {
-            let dist = &self.paths.dist[row * n..(row + 1) * n];
-            let hit = self.removed.iter().any(|&(u, v, w)| {
-                let (du, dv) = (dist[u as usize], dist[v as usize]);
-                (du != UNREACHABLE && du.saturating_add(w) == dv)
-                    || (dv != UNREACHABLE && dv.saturating_add(w) == du)
-            }) || self.added.iter().any(|&(u, v, w)| {
-                let (du, dv) = (dist[u as usize], dist[v as usize]);
-                du.saturating_add(w) < dv || dv.saturating_add(w) < du
+        let workers = self.threads.min(jobs.len());
+        while self.heaps.len() < workers {
+            self.heaps.push(DijkstraHeap::new());
+        }
+        let (required, required_count) =
+            scope.map_or((&[][..], 0), |s| (&s.required[..], s.required_count));
+        let run = |job: &mut RowJob<'_>, heap: &mut DijkstraHeap| {
+            let (source, bounded, dist_row, prev_row, bound, settled) = job;
+            if *bounded {
+                let (b, s) = graph.dijkstra_bounded_into(
+                    *source,
+                    required,
+                    required_count,
+                    dist_row,
+                    prev_row,
+                    heap,
+                );
+                **bound = b;
+                **settled = s;
+            } else {
+                graph.dijkstra_into(*source, dist_row, prev_row, heap);
+                **settled = n as u32;
+            }
+        };
+        if workers <= 1 {
+            let heap = &mut self.heaps[0];
+            for job in &mut jobs {
+                run(job, heap);
+            }
+        } else {
+            let per_worker = jobs.len().div_ceil(workers);
+            std::thread::scope(|s| {
+                for (chunk, heap) in jobs.chunks_mut(per_worker).zip(self.heaps.iter_mut()) {
+                    s.spawn(move || {
+                        for job in chunk {
+                            run(job, heap);
+                        }
+                    });
+                }
             });
-            self.affected[row] = hit;
         }
     }
 }
@@ -804,6 +526,7 @@ impl PathEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::Edge;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -887,74 +610,15 @@ mod tests {
     }
 
     #[test]
-    fn incremental_reuses_unaffected_rows() {
-        // A long line; changing the far end must not re-solve sources near
-        // the start... but on a line every source reaches the far end, so
-        // use two components: a line 0-1-2 and a line 3-4-5.
-        let g0 = NetworkGraph::from_edges(6, [(0, 1, 10), (1, 2, 10), (3, 4, 10), (4, 5, 10)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 1);
-        engine.solve(&g0);
-        assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
-
-        // Re-weight one edge of the second component.
-        let g1 = NetworkGraph::from_edges(6, [(0, 1, 10), (1, 2, 10), (3, 4, 25), (4, 5, 10)]);
-        let paths = engine.solve(&g1).clone();
-        assert_eq!(paths.latency_micros(3, 5), Some(35));
-        assert_eq!(paths.latency_micros(0, 2), Some(20));
-        let stats = engine.last_solve();
-        assert_eq!(stats.kind, SolveKind::Incremental);
-        // Sources 0, 1, 2 cannot reach the changed edge: reused.
-        assert_eq!(stats.reused_sources, 3);
-        assert_eq!(stats.solved_sources, 3);
-        assert_eq!(stats.edges_added, 1);
-        assert_eq!(stats.edges_removed, 1);
-        assert_matches_reference(&g1, &paths);
-    }
-
-    #[test]
-    fn unchanged_graph_resolves_nothing() {
-        let g = NetworkGraph::from_edges(4, [(0, 1, 5), (1, 2, 5), (2, 3, 5)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 2);
-        engine.solve(&g);
-        let paths = engine.solve(&g).clone();
-        let stats = engine.last_solve();
-        assert_eq!(stats.kind, SolveKind::Incremental);
-        assert_eq!(stats.solved_sources, 0);
-        assert_eq!(stats.reused_sources, 4);
-        assert_matches_reference(&g, &paths);
-    }
-
-    #[test]
-    fn bandwidth_only_changes_reuse_every_row() {
-        let g0 = NetworkGraph::from_links(3, [(0, 1, 10, 100), (1, 2, 10, 100)]);
-        let g1 = NetworkGraph::from_links(3, [(0, 1, 10, 900), (1, 2, 10, 50)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 1);
-        engine.solve(&g0);
-        engine.solve(&g1);
-        let stats = engine.last_solve();
-        assert_eq!(stats.kind, SolveKind::Incremental);
-        assert_eq!(stats.solved_sources, 0, "latencies unchanged: nothing to re-solve");
-        assert_eq!(stats.reused_sources, 3);
-    }
-
-    #[test]
-    fn large_delta_falls_back_to_full_solve() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let e0 = random_edges(&mut rng, 20, 20);
-        let e1 = random_edges(&mut rng, 20, 20); // Entirely fresh edge set.
-        let g0 = NetworkGraph::from_edges(20, e0);
-        let g1 = NetworkGraph::from_edges(20, e1);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 2);
-        engine.solve(&g0);
-        let paths = engine.solve(&g1).clone();
-        assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
-        assert_matches_reference(&g1, &paths);
+    #[should_panic(expected = "path-algorithm \"incremental\" was removed")]
+    fn new_rejects_removed_algorithms() {
+        PathEngine::new(PathAlgorithm::Incremental);
     }
 
     #[test]
     fn empty_graph_solves_to_an_empty_result() {
         let g = NetworkGraph::new(0);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 2);
+        let mut engine = PathEngine::with_threads(2);
         let paths = engine.solve(&g).clone();
         assert_eq!(paths.node_count(), 0);
         assert_eq!(paths.source_count(), 0);
@@ -964,7 +628,7 @@ mod tests {
     #[test]
     fn source_restriction_solves_only_requested_rows() {
         let g = NetworkGraph::from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 2);
+        let mut engine = PathEngine::with_threads(2);
         let paths = engine.solve_sources(&g, &[0, 4]);
         assert_eq!(paths.source_count(), 2);
         assert!(paths.is_solved(0) && paths.is_solved(4));
@@ -978,33 +642,13 @@ mod tests {
     #[test]
     fn changing_source_set_still_yields_correct_rows() {
         let g = NetworkGraph::from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 1);
+        let mut engine = PathEngine::with_threads(1);
         engine.solve_sources(&g, &[0, 4]);
         let paths = engine.solve_sources(&g, &[0, 2]).clone();
-        // Source sets differ: no incremental reuse, but results are right.
         assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
         assert!(paths.is_solved(2) && !paths.is_solved(4));
         assert_eq!(paths.latency_micros(2, 4), Some(2));
-    }
-
-    #[test]
-    fn auto_uses_floyd_warshall_on_tiny_graphs_and_incremental_on_repeats() {
-        let tiny = NetworkGraph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
-        let mut engine = PathEngine::new(PathAlgorithm::Auto);
-        engine.solve(&tiny);
-        assert_eq!(engine.last_solve().kind, SolveKind::FloydWarshall);
-
-        // A graph above the Floyd–Warshall cutoff: full Dijkstra first, then
-        // incremental reuse on the unchanged repeat.
-        let n = AUTO_FLOYD_WARSHALL_MAX_NODES + 10;
-        let edges: Vec<Edge> = (1..n as u32).map(|i| (i - 1, i, 7)).collect();
-        let big = NetworkGraph::from_edges(n, edges);
-        engine.solve(&big);
-        assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
-        let paths = engine.solve(&big).clone();
-        assert_eq!(engine.last_solve().kind, SolveKind::Incremental);
-        assert_eq!(engine.last_solve().solved_sources, 0);
-        assert_matches_reference(&big, &paths);
+        assert_matches_reference(&g, &paths);
     }
 
     #[test]
@@ -1014,7 +658,7 @@ mod tests {
         let graph = NetworkGraph::from_edges(n, random_edges(&mut rng, n, 60));
         let required: Vec<u32> = vec![3, 9, 27, 77];
         let scope = SolveScope::from_sets(n, &required, &[40, 41], &[0, 50]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 2);
+        let mut engine = PathEngine::with_threads(2);
         let paths = engine.solve_scope(&graph, &scope).clone();
         let stats = engine.last_solve();
         assert_eq!(stats.kind, SolveKind::Scoped);
@@ -1028,9 +672,11 @@ mod tests {
             assert!(paths.is_exact(0, t));
             assert!(paths.is_exact(50, t));
         }
-        // A scoped solve never seeds an incremental one.
-        engine.solve_sources(&graph, &[3, 9, 27, 77]);
+        // A full solve after a scoped one replaces every bounded row.
+        let full = engine.solve_sources(&graph, &[3, 9, 27, 77]).clone();
         assert_eq!(engine.last_solve().kind, SolveKind::FullDijkstra);
+        assert!(full.landmark_nodes().is_empty());
+        assert_matches_reference(&graph, &full);
     }
 
     #[test]
@@ -1041,7 +687,7 @@ mod tests {
         let edges: Vec<Edge> = (1..n as u32).map(|i| (i - 1, i, 10)).collect();
         let graph = NetworkGraph::from_edges(n, edges);
         let scope = SolveScope::from_sets(n, &[0, 1, 2, 3], &[], &[]);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
+        let mut engine = PathEngine::with_threads(1);
         let paths = engine.solve_scope(&graph, &scope);
         assert!(paths.is_exact(0, 3));
         assert_eq!(paths.latency_micros(0, 3), Some(30));
@@ -1087,10 +733,8 @@ mod tests {
             let landmarks: Vec<u32> = vec![0, (n / 2) as u32];
             prop_assume!(!required.is_empty());
             let scope = SolveScope::from_sets(n, &required, &extra_scope, &landmarks);
-            // Dijkstra keeps the graph above the Auto/FW cutoff irrelevant:
-            // we want the bounded kernel exercised at every size.
-            let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, threads);
-            let mut reference = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
+            let mut engine = PathEngine::with_threads(threads);
+            let mut reference = PathEngine::with_threads(1);
             for _ in 0..steps {
                 let graph = NetworkGraph::from_edges(n, edges.clone());
                 let scoped = engine.solve_scope(&graph, &scope).clone();
@@ -1149,51 +793,9 @@ mod tests {
             let required: Vec<u32> = (0..n as u32).filter(|i| required_mask & (1 << (i % 59)) != 0).collect();
             prop_assume!(!required.is_empty());
             let scope = SolveScope::from_sets(n, &required, &[], &[0]);
-            let mut one = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
-            let mut many = PathEngine::with_threads(PathAlgorithm::Dijkstra, 4);
+            let mut one = PathEngine::with_threads(1);
+            let mut many = PathEngine::with_threads(4);
             prop_assert_eq!(one.solve_scope(&graph, &scope), many.solve_scope(&graph, &scope));
-        }
-
-        #[test]
-        fn incremental_equals_full_recompute_across_timesteps(
-            seed in 0u64..500,
-            n in 4usize..28,
-            extra in 0usize..30,
-            churn in 1usize..8,
-            steps in 1usize..5,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut edges = random_edges(&mut rng, n, extra);
-            let mut engine = PathEngine::with_threads(PathAlgorithm::Incremental, 2);
-            engine.solve(&NetworkGraph::from_edges(n, edges.clone()));
-            for _ in 0..steps {
-                edges = mutate_edges(&mut rng, n, &edges, churn);
-                let graph = NetworkGraph::from_edges(n, edges.clone());
-                let result = engine.solve(&graph).clone();
-                let reference = graph.all_pairs_dijkstra();
-                for a in 0..n {
-                    for b in 0..n {
-                        prop_assert_eq!(result.latency_micros(a, b), reference.latency_micros(a, b));
-                    }
-                }
-                assert_matches_reference(&graph, &result);
-            }
-        }
-
-        #[test]
-        fn auto_agrees_with_both_references(seed in 0u64..500, n in 2usize..90, extra in 0usize..40) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let graph = NetworkGraph::from_edges(n, random_edges(&mut rng, n, extra));
-            let mut engine = PathEngine::new(PathAlgorithm::Auto);
-            let result = engine.solve(&graph).clone();
-            let dijkstra = graph.all_pairs_dijkstra();
-            let floyd_warshall = graph.floyd_warshall();
-            for a in 0..n {
-                for b in 0..n {
-                    prop_assert_eq!(result.latency_micros(a, b), dijkstra.latency_micros(a, b));
-                    prop_assert_eq!(result.latency_micros(a, b), floyd_warshall.latency_micros(a, b));
-                }
-            }
         }
 
         #[test]
@@ -1201,17 +803,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = NetworkGraph::from_edges(n, random_edges(&mut rng, n, n));
             let sources: Vec<u32> = (0..n as u32).filter(|s| s % 3 == 0).collect();
-            let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 3);
+            let mut engine = PathEngine::with_threads(3);
             let restricted = engine.solve_sources(&graph, &sources).clone();
-            let full = graph.all_pairs_dijkstra();
-            for &s in &sources {
-                for t in 0..n {
-                    prop_assert_eq!(
-                        restricted.latency_micros(s as usize, t),
-                        full.latency_micros(s as usize, t)
-                    );
-                }
-            }
+            prop_assert_eq!(restricted.solved_sources(), &sources[..]);
+            assert_matches_reference(&graph, &restricted);
         }
     }
 }

@@ -7,14 +7,14 @@
 //! an adjacency scan is one linear walk over contiguous memory and the whole
 //! structure is roughly 4× smaller than a nested-`Vec` adjacency list.
 //!
-//! Per-source Dijkstra is the default because constellation graphs are
-//! sparse (the +GRID topology gives every satellite degree four);
-//! Floyd–Warshall is provided for complete all-pairs matrices on small
-//! topologies and as the reference implementation in tests. The stateful,
-//! parallel and incrementally recomputing driver on top of this module is
-//! [`crate::engine::PathEngine`] — see `docs/PATHS.md` for the
-//! algorithm-selection guide.
+//! Per-source Dijkstra is the only solve an epoch runs, because
+//! constellation graphs are sparse (the +GRID topology gives every satellite
+//! degree four). Floyd–Warshall stays as the independent reference the
+//! property tests check Dijkstra against. The stateful, scoped and parallel
+//! driver on top of this module is [`crate::engine::PathEngine`] — see
+//! `docs/PATHS.md`.
 
+use celestial_types::{Error, Result};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,8 +43,7 @@ pub(crate) type DijkstraHeap = BinaryHeap<Reverse<(Cost, u32)>>;
 ///
 /// Node indices are assigned by the caller (the constellation assigns
 /// satellites first, then ground stations). The graph keeps a canonical
-/// sorted edge list alongside the CSR arrays; the edge list is what
-/// [`crate::engine::PathEngine`] diffs between timesteps.
+/// sorted edge list alongside the CSR arrays.
 ///
 /// Besides the latency weight that drives the shortest-path computation,
 /// every edge carries the link's bandwidth (bits per second; `0` when the
@@ -500,6 +499,8 @@ impl NetworkGraph {
     }
 
     /// Computes all-pairs shortest paths with the Floyd–Warshall algorithm.
+    /// No epoch runs it: it is the independent reference the property tests
+    /// check Dijkstra against, and the paper's cubic comparison point.
     pub fn floyd_warshall(&self) -> ShortestPaths {
         let n = self.node_count();
         let mut paths = ShortestPaths::for_all_sources(self.node_count);
@@ -536,56 +537,32 @@ impl NetworkGraph {
         }
         paths
     }
-
-    /// Computes all-pairs shortest paths with the requested algorithm.
-    ///
-    /// This is the stateless entry point: [`PathAlgorithm::Auto`] picks by
-    /// graph size alone and [`PathAlgorithm::Incremental`] falls back to a
-    /// full per-source Dijkstra, because there is no previous timestep to
-    /// diff against here. The stateful driver that implements incremental
-    /// recomputation and parallelism is [`crate::engine::PathEngine`].
-    pub fn shortest_paths(&self, algorithm: PathAlgorithm) -> ShortestPaths {
-        match algorithm {
-            PathAlgorithm::Dijkstra | PathAlgorithm::Incremental => self.all_pairs_dijkstra(),
-            PathAlgorithm::FloydWarshall => self.floyd_warshall(),
-            PathAlgorithm::Auto => {
-                if self.node_count() <= AUTO_FLOYD_WARSHALL_MAX_NODES {
-                    self.floyd_warshall()
-                } else {
-                    self.all_pairs_dijkstra()
-                }
-            }
-        }
-    }
 }
 
-/// Below this node count [`PathAlgorithm::Auto`] picks Floyd–Warshall: the
-/// cubic term is tiny and the dense sweep beats per-source heap overhead.
-pub const AUTO_FLOYD_WARSHALL_MAX_NODES: usize = 64;
-
-/// The shortest-path algorithm used for the all-pairs computation.
+/// The `path-algorithm` configuration vocabulary.
+///
+/// Every epoch runs the scoped Dijkstra solve, so [`PathAlgorithm::Dijkstra`]
+/// is the only selectable value. The other names are kept so that a
+/// configuration naming them fails with a migration message
+/// ([`PathAlgorithm::ensure_supported`]) instead of an unknown-value error
+/// or, worse, a silent fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum PathAlgorithm {
-    /// Per-source Dijkstra: the default; best for the sparse +GRID graphs.
+    /// Per-source Dijkstra, scoped to the rows the programme needs: the
+    /// default and the only supported value.
     #[default]
     Dijkstra,
-    /// Floyd–Warshall: cubic in the node count, useful for small topologies
-    /// and as a cross-check.
+    /// Removed: a cubic all-pairs sweep.
     FloydWarshall,
-    /// Re-solve only the sources whose shortest paths are affected by the
-    /// edge delta since the previous timestep, falling back to a full solve
-    /// when the delta is large. Only meaningful through
-    /// [`crate::engine::PathEngine`].
+    /// Removed: row reuse across timesteps, slower than a full solve.
     Incremental,
-    /// Select automatically: Floyd–Warshall for tiny graphs, incremental
-    /// recomputation when a previous solve is reusable, parallel per-source
-    /// Dijkstra otherwise.
+    /// Removed: a size-based choice between the other three.
     Auto,
 }
 
 impl PathAlgorithm {
-    /// Every algorithm, in documentation order — the single source of truth
-    /// for configuration parsing and error messages.
+    /// Every name, in documentation order — the single source of truth for
+    /// configuration parsing and error messages.
     pub const ALL: [PathAlgorithm; 4] = [
         PathAlgorithm::Dijkstra,
         PathAlgorithm::FloydWarshall,
@@ -593,14 +570,32 @@ impl PathAlgorithm {
         PathAlgorithm::Auto,
     ];
 
-    /// The configuration-file spelling of the algorithm (the value accepted
-    /// by the `path-algorithm` TOML key; see `docs/PATHS.md`).
+    /// The configuration-file spelling of the algorithm (the value of the
+    /// `path-algorithm` TOML key; see `docs/PATHS.md`).
     pub fn name(&self) -> &'static str {
         match self {
             PathAlgorithm::Dijkstra => "dijkstra",
             PathAlgorithm::FloydWarshall => "floyd-warshall",
             PathAlgorithm::Incremental => "incremental",
             PathAlgorithm::Auto => "auto",
+        }
+    }
+
+    /// Checks that the algorithm can still be selected: only
+    /// [`PathAlgorithm::Dijkstra`] can.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] with the migration message for every
+    /// removed algorithm.
+    pub fn ensure_supported(self) -> Result<()> {
+        match self {
+            PathAlgorithm::Dijkstra => Ok(()),
+            removed => Err(Error::config(format!(
+                "path-algorithm {:?} was removed; every epoch runs the scoped Dijkstra solve \
+                 (see docs/PATHS.md)",
+                removed.name()
+            ))),
         }
     }
 }
@@ -666,19 +661,6 @@ impl Clone for ShortestPaths {
 }
 
 impl ShortestPaths {
-    /// An empty result covering no sources of an `n`-node graph.
-    pub(crate) fn empty(node_count: u32) -> Self {
-        ShortestPaths {
-            node_count,
-            rows: vec![NO_NODE; node_count as usize],
-            sources: Vec::new(),
-            dist: Vec::new(),
-            prev: Vec::new(),
-            exact_bounds: Vec::new(),
-            landmarks: Vec::new(),
-        }
-    }
-
     /// A result with one (unsolved) row per node, in node order.
     pub(crate) fn for_all_sources(node_count: u32) -> Self {
         let n = node_count as usize;
@@ -1170,24 +1152,6 @@ mod tests {
         let mut g = NetworkGraph::new(2);
         // 2^32 would truncate to node 0 if narrowed before validation.
         g.add_edge(u32::MAX as usize + 1, 1, 1);
-    }
-
-    #[test]
-    fn auto_stateless_selection_by_size() {
-        let small = line_graph(5);
-        assert_eq!(
-            small.shortest_paths(PathAlgorithm::Auto),
-            small.floyd_warshall()
-        );
-        let big = line_graph(AUTO_FLOYD_WARSHALL_MAX_NODES + 1);
-        assert_eq!(
-            big.shortest_paths(PathAlgorithm::Auto),
-            big.all_pairs_dijkstra()
-        );
-        assert_eq!(
-            big.shortest_paths(PathAlgorithm::Incremental),
-            big.all_pairs_dijkstra()
-        );
     }
 
     #[test]

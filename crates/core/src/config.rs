@@ -635,13 +635,13 @@ impl TestbedConfig {
     pub fn from_toml(input: &str) -> Result<Self> {
         let table = toml::parse(input)?;
         let mut config = TestbedConfig {
-            seed: table.get_i64("seed").unwrap_or(0) as u64,
-            update_interval_s: table.get_f64("update-interval-s").unwrap_or(2.0),
-            duration_s: table.get_f64("duration-s").unwrap_or(600.0),
+            seed: table.get_i64("seed")?.unwrap_or(0) as u64,
+            update_interval_s: table.get_f64("update-interval-s")?.unwrap_or(2.0),
+            duration_s: table.get_f64("duration-s")?.unwrap_or(600.0),
             utilization_sample_interval_s: table
-                .get_f64("utilization-sample-interval-s")
+                .get_f64("utilization-sample-interval-s")?
                 .unwrap_or(1.0),
-            ballooning: table.get_bool("ballooning").unwrap_or(false),
+            ballooning: table.get_bool("ballooning")?.unwrap_or(false),
             ..TestbedConfig::default()
         };
 
@@ -650,13 +650,8 @@ impl TestbedConfig {
             config.path_algorithm = text
                 .and_then(|t| PathAlgorithm::ALL.iter().find(|a| a.name() == t).copied())
                 .ok_or_else(|| {
-                    let expected: Vec<String> = PathAlgorithm::ALL
-                        .iter()
-                        .map(|a| format!("\"{}\"", a.name()))
-                        .collect();
                     Error::config(format!(
-                        "unknown path-algorithm {text:?}; expected one of {} (see docs/PATHS.md)",
-                        expected.join(", ")
+                        "unknown path-algorithm {text:?}; expected \"dijkstra\" (see docs/PATHS.md)"
                     ))
                 })?;
         }
@@ -677,7 +672,7 @@ impl TestbedConfig {
                 })?;
         }
 
-        if let Some(shards) = table.get_i64("shards") {
+        if let Some(shards) = table.get_i64("shards")? {
             if shards < 1 {
                 return Err(Error::config("shards must be at least 1 (see docs/SHARDING.md)"));
             }
@@ -686,7 +681,7 @@ impl TestbedConfig {
             // `[[host]]` tables must agree with it (validated below).
             config.hosts = vec![HostConfig::default(); shards as usize];
         }
-        if let Some(us) = table.get_i64("host-latency-us") {
+        if let Some(us) = table.get_i64("host-latency-us")? {
             if us < 0 {
                 return Err(Error::config("host-latency-us must be non-negative"));
             }
@@ -715,7 +710,7 @@ impl TestbedConfig {
         if let Some(chaos) = table.get("chaos").and_then(|v| v.as_table()) {
             let defaults = ChaosConfig::default();
             let count = |key: &str, default: u32| -> Result<u32> {
-                match chaos.get_i64(key) {
+                match chaos.get_i64(key)? {
                     Some(n) if n < 0 => {
                         Err(Error::config(format!("chaos {key} must be non-negative")))
                     }
@@ -726,40 +721,40 @@ impl TestbedConfig {
             config.chaos = Some(ChaosConfig {
                 plane_outages: count("plane-outages", defaults.plane_outages)?,
                 plane_outage_mean_s: chaos
-                    .get_f64("plane-outage-mean-s")
+                    .get_f64("plane-outage-mean-s")?
                     .unwrap_or(defaults.plane_outage_mean_s),
                 solar_storms: count("solar-storms", defaults.solar_storms)?,
                 solar_storm_mean_s: chaos
-                    .get_f64("solar-storm-mean-s")
+                    .get_f64("solar-storm-mean-s")?
                     .unwrap_or(defaults.solar_storm_mean_s),
                 solar_storm_band_half_width_deg: chaos
-                    .get_f64("solar-storm-band-half-width-deg")
+                    .get_f64("solar-storm-band-half-width-deg")?
                     .unwrap_or(defaults.solar_storm_band_half_width_deg),
                 solar_storm_cpu_share_percent: chaos
-                    .get_i64("solar-storm-cpu-share-percent")
+                    .get_i64("solar-storm-cpu-share-percent")?
                     .map_or(defaults.solar_storm_cpu_share_percent, |p| {
                         p.clamp(0, 255) as u8
                     }),
                 region_blackouts: count("region-blackouts", defaults.region_blackouts)?,
                 region_blackout_mean_s: chaos
-                    .get_f64("region-blackout-mean-s")
+                    .get_f64("region-blackout-mean-s")?
                     .unwrap_or(defaults.region_blackout_mean_s),
                 region_blackout_radius_km: chaos
-                    .get_f64("region-blackout-radius-km")
+                    .get_f64("region-blackout-radius-km")?
                     .unwrap_or(defaults.region_blackout_radius_km),
                 link_flap_storms: count("link-flap-storms", defaults.link_flap_storms)?,
                 link_flap_mean_s: chaos
-                    .get_f64("link-flap-mean-s")
+                    .get_f64("link-flap-mean-s")?
                     .unwrap_or(defaults.link_flap_mean_s),
                 link_flap_period_s: chaos
-                    .get_f64("link-flap-period-s")
+                    .get_f64("link-flap-period-s")?
                     .unwrap_or(defaults.link_flap_period_s),
             });
         }
         if let Some(serve) = table.get("serve").and_then(|v| v.as_table()) {
             let defaults = ServeConfig::default();
             let count = |key: &str, default: u32| -> Result<u32> {
-                match serve.get_i64(key) {
+                match serve.get_i64(key)? {
                     Some(n) if n < 0 => {
                         Err(Error::config(format!("serve {key} must be non-negative")))
                     }
@@ -767,7 +762,7 @@ impl TestbedConfig {
                     None => Ok(default),
                 }
             };
-            let port = match serve.get_i64("port") {
+            let port = match serve.get_i64("port")? {
                 Some(p) if !(0..=u16::MAX as i64).contains(&p) => {
                     return Err(Error::config(format!("serve port must be a valid TCP port, got {p}")));
                 }
@@ -796,13 +791,13 @@ impl TestbedConfig {
                     defaults.rate_limit_per_epoch,
                 )?,
                 auth_tokens,
-                keep_alive: serve.get_bool("keep-alive").unwrap_or(defaults.keep_alive),
+                keep_alive: serve.get_bool("keep-alive")?.unwrap_or(defaults.keep_alive),
             });
         }
         if let Some(paths) = table.get("paths").and_then(|v| v.as_table()) {
             let defaults = PathsConfig::default();
             let count = |key: &str, default: u32| -> Result<u32> {
-                match paths.get_i64(key) {
+                match paths.get_i64(key)? {
                     Some(n) if n < 0 => {
                         Err(Error::config(format!("paths {key} must be non-negative")))
                     }
@@ -812,7 +807,7 @@ impl TestbedConfig {
             };
             config.paths = Some(PathsConfig {
                 scope_margin_deg: paths
-                    .get_f64("scope-margin-deg")
+                    .get_f64("scope-margin-deg")?
                     .unwrap_or(defaults.scope_margin_deg),
                 k_nearest: count("k-nearest", defaults.k_nearest)?,
                 landmarks: count("landmarks", defaults.landmarks)?,
@@ -827,7 +822,7 @@ impl TestbedConfig {
                 ));
             }
             let defaults = TenantsConfig::default();
-            let count = match tenants.get_i64("count") {
+            let count = match tenants.get_i64("count")? {
                 Some(n) if n < 1 => {
                     return Err(Error::config(
                         "tenants count must be at least 1 (see docs/TENANTS.md)",
@@ -854,7 +849,7 @@ impl TestbedConfig {
             let names = blocks
                 .iter()
                 .map(|t| {
-                    t.get_str("name")
+                    t.get_str("name")?
                         .map(str::to_owned)
                         .ok_or_else(|| Error::config("tenant is missing 'name' (see docs/TENANTS.md)"))
                 })
@@ -866,7 +861,7 @@ impl TestbedConfig {
         }
         if let Some(scenario) = table.get("scenario").and_then(|v| v.as_table()) {
             let defaults = ScenarioConfig::default();
-            let tenants = match scenario.get_i64("tenants") {
+            let tenants = match scenario.get_i64("tenants")? {
                 Some(n) if n < 1 => {
                     return Err(Error::config(
                         "scenario tenants must be at least 1 (see docs/SCENARIOS.md)",
@@ -886,11 +881,13 @@ impl TestbedConfig {
         if let Some(hosts) = table.get("host").and_then(|v| v.as_table_array()) {
             config.hosts = hosts
                 .iter()
-                .map(|h| HostConfig {
-                    cores: h.get_i64("cores").unwrap_or(32) as u32,
-                    memory_mib: h.get_i64("memory-mib").unwrap_or(32 * 1024) as u64,
+                .map(|h| {
+                    Ok(HostConfig {
+                        cores: h.get_i64("cores")?.unwrap_or(32) as u32,
+                        memory_mib: h.get_i64("memory-mib")?.unwrap_or(32 * 1024) as u64,
+                    })
                 })
-                .collect();
+                .collect::<Result<_>>()?;
         }
 
         config.validate()?;
@@ -916,6 +913,7 @@ impl TestbedConfig {
         if self.hosts.is_empty() {
             return Err(Error::config("at least one host is required"));
         }
+        self.path_algorithm.ensure_supported()?;
         if let Some(shards) = self.shards {
             if shards < 1 {
                 return Err(Error::config("shards must be at least 1 (see docs/SHARDING.md)"));
@@ -988,40 +986,40 @@ fn parse_shell(table: &TomlTable) -> Result<Shell> {
     let altitude = table.require_f64("altitude-km")?;
     let inclination = table.require_f64("inclination-deg")?;
     let planes = table
-        .get_i64("planes")
+        .get_i64("planes")?
         .ok_or_else(|| Error::config("shell is missing 'planes'"))? as u32;
     let per_plane = table
-        .get_i64("satellites-per-plane")
+        .get_i64("satellites-per-plane")?
         .ok_or_else(|| Error::config("shell is missing 'satellites-per-plane'"))?
         as u32;
     let mut walker = WalkerShell::new(altitude, inclination, planes, per_plane);
-    if let Some(arc) = table.get_f64("arc-of-ascending-nodes-deg") {
+    if let Some(arc) = table.get_f64("arc-of-ascending-nodes-deg")? {
         walker = walker.with_arc_of_ascending_nodes(arc);
     }
-    if let Some(phase) = table.get_i64("phase-offset") {
+    if let Some(phase) = table.get_i64("phase-offset")? {
         walker = walker.with_phase_offset(phase as u32);
     }
     let mut shell = Shell::from_walker(walker);
-    if let Some(bw) = table.get_i64("isl-bandwidth-kbps") {
+    if let Some(bw) = table.get_i64("isl-bandwidth-kbps")? {
         shell = shell.with_isl_bandwidth(Bandwidth::from_kbps(bw as u64));
     }
-    if let Some(bw) = table.get_i64("ground-link-bandwidth-kbps") {
+    if let Some(bw) = table.get_i64("ground-link-bandwidth-kbps")? {
         shell = shell.with_ground_link_bandwidth(Bandwidth::from_kbps(bw as u64));
     }
     shell = shell.with_min_elevation_deg(
         table
-            .get_f64("min-elevation-deg")
+            .get_f64("min-elevation-deg")?
             .unwrap_or(DEFAULT_MIN_ELEVATION_DEG),
     );
-    let vcpus = table.get_i64("vcpus").unwrap_or(2) as u32;
-    let memory = table.get_i64("memory-mib").unwrap_or(512) as u64;
+    let vcpus = table.get_i64("vcpus")?.unwrap_or(2) as u32;
+    let memory = table.get_i64("memory-mib")?.unwrap_or(512) as u64;
     shell = shell.with_resources(MachineResources::new(vcpus, memory));
     Ok(shell)
 }
 
 fn parse_scenario_block(table: &TomlTable) -> Result<ScenarioBlock> {
     let defaults = ScenarioBlock::default();
-    let kind = match table.get_str("kind") {
+    let kind = match table.get_str("kind")? {
         Some(text) => ScenarioBlockKind::ALL
             .iter()
             .find(|k| k.name() == text)
@@ -1040,7 +1038,7 @@ fn parse_scenario_block(table: &TomlTable) -> Result<ScenarioBlock> {
         None => defaults.kind,
     };
     let nonneg = |key: &str, default: u64| -> Result<u64> {
-        match table.get_i64(key) {
+        match table.get_i64(key)? {
             Some(n) if n < 0 => Err(Error::config(format!(
                 "scenario block {key} must be non-negative"
             ))),
@@ -1048,38 +1046,38 @@ fn parse_scenario_block(table: &TomlTable) -> Result<ScenarioBlock> {
             None => Ok(default),
         }
     };
-    let station = |key: &str, default: &str| -> String {
-        table.get_str(key).unwrap_or(default).to_owned()
+    let station = |key: &str, default: &str| -> Result<String> {
+        Ok(table.get_str(key)?.unwrap_or(default).to_owned())
     };
     Ok(ScenarioBlock {
         kind,
-        name: station("name", &defaults.name),
+        name: station("name", &defaults.name)?,
         population: nonneg("population", defaults.population)?,
-        source: station("source", &defaults.source),
-        sink: station("sink", &defaults.sink),
-        fallback: station("fallback", &defaults.fallback),
+        source: station("source", &defaults.source)?,
+        sink: station("sink", &defaults.sink)?,
+        fallback: station("fallback", &defaults.fallback)?,
         bitrate_bps: nonneg("bitrate-bps", defaults.bitrate_bps)?,
-        interval_ms: table.get_f64("interval-ms").unwrap_or(defaults.interval_ms),
-        hit_ratio: table.get_f64("hit-ratio").unwrap_or(defaults.hit_ratio),
-        burst_prob: table.get_f64("burst-prob").unwrap_or(defaults.burst_prob),
+        interval_ms: table.get_f64("interval-ms")?.unwrap_or(defaults.interval_ms),
+        hit_ratio: table.get_f64("hit-ratio")?.unwrap_or(defaults.hit_ratio),
+        burst_prob: table.get_f64("burst-prob")?.unwrap_or(defaults.burst_prob),
         burst_factor: nonneg("burst-factor", u64::from(defaults.burst_factor))? as u32,
     })
 }
 
 fn parse_ground_station(table: &TomlTable) -> Result<GroundStation> {
     let name = table
-        .get_str("name")
+        .get_str("name")?
         .ok_or_else(|| Error::config("ground station is missing 'name'"))?;
     let lat = table.require_f64("lat")?;
     let lon = table.require_f64("lon")?;
     let mut gst = GroundStation::new(name, Geodetic::new(lat, lon, 0.0));
-    if let (Some(vcpus), Some(memory)) = (table.get_i64("vcpus"), table.get_i64("memory-mib")) {
+    if let (Some(vcpus), Some(memory)) = (table.get_i64("vcpus")?, table.get_i64("memory-mib")?) {
         gst = gst.with_resources(MachineResources::new(vcpus as u32, memory as u64));
     }
-    if let Some(bw) = table.get_i64("bandwidth-kbps") {
+    if let Some(bw) = table.get_i64("bandwidth-kbps")? {
         gst = gst.with_bandwidth(Bandwidth::from_kbps(bw as u64));
     }
-    if let Some(elev) = table.get_f64("min-elevation-deg") {
+    if let Some(elev) = table.get_f64("min-elevation-deg")? {
         gst = gst.with_min_elevation_deg(elev);
     }
     Ok(gst)
@@ -1317,18 +1315,55 @@ min-elevation-deg = 30.0
     }
 
     #[test]
-    fn incremental_and_auto_path_algorithms_parse() {
-        for (text, expected) in [
-            ("incremental", PathAlgorithm::Incremental),
-            ("auto", PathAlgorithm::Auto),
-        ] {
+    fn removed_path_algorithms_are_rejected_with_a_migration_message() {
+        for algorithm in PathAlgorithm::ALL {
+            let text = algorithm.name();
             let toml = format!(
                 "path-algorithm = \"{text}\"\n[[shell]]\naltitude-km = 550.0\n\
                  inclination-deg = 53.0\nplanes = 1\nsatellites-per-plane = 2"
             );
-            let config = TestbedConfig::from_toml(&toml).expect("valid config");
-            assert_eq!(config.path_algorithm, expected);
+            let shell = Shell::from_walker(WalkerShell::new(550.0, 53.0, 1, 2));
+            let parsed = TestbedConfig::from_toml(&toml).map(|_| ());
+            let built = TestbedConfig::builder()
+                .shell(shell.clone())
+                .path_algorithm(algorithm)
+                .build()
+                .map(|_| ());
+            let constellation = celestial_constellation::Constellation::builder()
+                .shell(shell)
+                .path_algorithm(algorithm)
+                .build()
+                .map(|_| ());
+            let expected = format!(
+                "path-algorithm \"{text}\" was removed; every epoch runs the scoped Dijkstra \
+                 solve (see docs/PATHS.md)"
+            );
+            for result in [parsed, built, constellation] {
+                match result {
+                    Ok(()) => assert_eq!(algorithm, PathAlgorithm::Dijkstra),
+                    Err(err) => assert!(err.to_string().contains(&expected), "{err}"),
+                }
+            }
         }
+    }
+
+    #[test]
+    fn wrong_typed_values_are_rejected_naming_the_key() {
+        let shell = "[[shell]]\naltitude-km = 550.0\ninclination-deg = 53.0\n\
+                     planes = 1\nsatellites-per-plane = 2";
+        for (line, key) in [
+            ("update-interval-s = \"1.0\"", "update-interval-s"),
+            ("seed = \"7\"", "seed"),
+            ("ballooning = 1", "ballooning"),
+            ("shards = \"2\"", "shards"),
+        ] {
+            let err = TestbedConfig::from_toml(&format!("{line}\n{shell}")).unwrap_err();
+            assert!(err.to_string().contains(&format!("'{key}'")), "{line}: {err}");
+        }
+        // Integers still widen to floats.
+        let config = TestbedConfig::from_toml(&format!("update-interval-s = 1\n{shell}"))
+            .expect("valid config");
+        assert_eq!(config.update_interval_s, 1.0);
     }
 
     #[test]

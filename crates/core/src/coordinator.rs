@@ -14,11 +14,11 @@
 //! events — the paper's core overlap trick (see `docs/PIPELINE.md`).
 //!
 //! One coordinator can fan a single pipeline out to N tenants
-//! ([`Coordinator::with_fanout`]): the shared orbital state and path matrix
-//! are computed and installed once per update, while each tenant keeps its
-//! own programme mirror and change set in a private `TenantLane` slot. The
-//! solo constructors are the tenants=1 degenerate case and stay
-//! bit-identical to the pre-tenant coordinator (see `docs/TENANTS.md`).
+//! ([`Coordinator::with_scoped_fanout`]): the shared orbital state and path
+//! matrix are computed and installed once per update, while each tenant
+//! keeps its own programme mirror and change set in a private `TenantLane`
+//! slot. A single tenant is the degenerate case and stays bit-identical to
+//! the pre-tenant coordinator (see `docs/TENANTS.md`).
 
 use crate::database::{InfoDatabase, PipelineReport, ProgrammeStats};
 use crate::pipeline::{clone_deltas_into, EpochCompute, EpochPipeline, PipelineMode, PipelineStats};
@@ -70,77 +70,39 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Creates a coordinator for the given constellation with the given
-    /// update interval, computing epochs synchronously at each boundary.
+    /// Creates a single-tenant coordinator for the given constellation with
+    /// the given update interval, computing epochs synchronously at each
+    /// boundary, without host sharding and with the default solve scope.
     pub fn new(constellation: Constellation, update_interval: SimDuration) -> Self {
-        Self::with_mode(constellation, update_interval, PipelineMode::Synchronous)
-    }
-
-    /// Creates a coordinator with an explicit epoch-pipeline mode.
-    /// [`PipelineMode::Pipelined`] precomputes the next epoch on a
-    /// background worker between updates; results are bit-identical to
-    /// [`PipelineMode::Synchronous`] as long as updates follow the
-    /// `update_interval` cadence (and remain correct—composed—off cadence).
-    pub fn with_mode(
-        constellation: Constellation,
-        update_interval: SimDuration,
-        mode: PipelineMode,
-    ) -> Self {
-        Self::with_options(constellation, update_interval, mode, None)
-    }
-
-    /// Creates a coordinator with an explicit pipeline mode and an optional
-    /// host-sharding plan. With a plan, every update additionally partitions
-    /// the programme delta into one per-host change set
-    /// ([`Coordinator::host_deltas`]), the slices each host's machine
-    /// manager applies locally (see `docs/SHARDING.md`).
-    pub fn with_options(
-        constellation: Constellation,
-        update_interval: SimDuration,
-        mode: PipelineMode,
-        shard_plan: Option<ShardPlan>,
-    ) -> Self {
-        Self::with_fanout(
-            constellation,
-            update_interval,
-            mode,
-            shard_plan,
-            vec!["tenant-0".to_owned()],
-        )
-    }
-
-    /// Creates a coordinator fanning one epoch pipeline out to N tenants,
-    /// one per entry of `tenant_names`: the orbital propagation, snapshot
-    /// diff and path solve run once per update; each tenant gets its own
-    /// programme change stream ([`Coordinator::programme_delta_for`]) off
-    /// the shared path matrix. Tenant names route per-tenant info-API
-    /// queries (see `docs/TENANTS.md`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenant_names` is empty.
-    pub fn with_fanout(
-        constellation: Constellation,
-        update_interval: SimDuration,
-        mode: PipelineMode,
-        shard_plan: Option<ShardPlan>,
-        tenant_names: Vec<String>,
-    ) -> Self {
         Self::with_scoped_fanout(
             constellation,
             update_interval,
-            mode,
-            shard_plan,
-            tenant_names,
+            PipelineMode::Synchronous,
+            None,
+            vec!["tenant-0".to_owned()],
             ScopeParams::default(),
         )
     }
 
-    /// [`Coordinator::with_fanout`] with explicit solve-scope parameters
-    /// (the `[paths]` configuration table). The parameters tune how much of
-    /// the constellation each epoch's path solve covers — never the results:
-    /// every row the programme or a query reads is exact for any setting
-    /// (see `docs/MEGASCALE.md`).
+    /// Creates a coordinator with every option explicit:
+    ///
+    /// * `mode` — [`PipelineMode::Pipelined`] precomputes the next epoch on
+    ///   a background worker between updates; results are bit-identical to
+    ///   [`PipelineMode::Synchronous`] as long as updates follow the
+    ///   `update_interval` cadence (and remain correct—composed—off cadence).
+    /// * `shard_plan` — with a plan, every update additionally partitions the
+    ///   programme delta into one per-host change set
+    ///   ([`Coordinator::host_deltas`]), the slices each host's machine
+    ///   manager applies locally (see `docs/SHARDING.md`).
+    /// * `tenant_names` — one tenant per entry: the orbital propagation,
+    ///   snapshot diff and path solve run once per update; each tenant gets
+    ///   its own programme change stream ([`Coordinator::programme_delta_for`])
+    ///   off the shared path matrix. Tenant names route per-tenant info-API
+    ///   queries (see `docs/TENANTS.md`).
+    /// * `scope_params` — the `[paths]` configuration table. The parameters
+    ///   tune how much of the constellation each epoch's path solve covers —
+    ///   never the results: every row the programme or a query reads is exact
+    ///   for any setting (see `docs/MEGASCALE.md`).
     ///
     /// # Panics
     ///
@@ -366,8 +328,7 @@ impl Coordinator {
         Ok(diff)
     }
 
-    /// Statistics about the most recent shortest-path solve (how many source
-    /// rows were re-solved vs. reused incrementally).
+    /// Statistics about the most recent scoped shortest-path solve.
     pub fn last_path_solve(&self) -> SolveStats {
         self.last_solve
     }
@@ -613,12 +574,13 @@ mod tests {
         };
         let mut solo = Coordinator::new(build(), SimDuration::from_secs(2));
         let names: Vec<String> = (0..3).map(|i| format!("tenant-{i}")).collect();
-        let mut fleet = Coordinator::with_fanout(
+        let mut fleet = Coordinator::with_scoped_fanout(
             build(),
             SimDuration::from_secs(2),
             PipelineMode::Synchronous,
             None,
             names,
+            ScopeParams::default(),
         );
         assert_eq!(fleet.tenant_count(), 3);
         assert_eq!(

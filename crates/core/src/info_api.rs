@@ -8,6 +8,7 @@
 //! JSON documents.
 
 use crate::database::InfoDatabase;
+use celestial_constellation::PathAlgorithm;
 use celestial_types::ids::{NodeId, TenantId};
 use celestial_types::{Error, Result};
 use serde_json::{json, Value};
@@ -126,7 +127,7 @@ impl<'a> InfoApi<'a> {
                     "satellites": self.database.satellite_count(),
                     "ground_stations": self.database.ground_stations().iter().map(|g| g.name.clone()).collect::<Vec<_>>(),
                     "updated_at_s": self.database.updated_at_seconds(),
-                    "path_algorithm": self.database.state().map(|s| s.path_algorithm().name().to_owned()),
+                    "path_algorithm": self.database.state().map(|_| PathAlgorithm::Dijkstra.name()),
                     "tenant": report.map(|t| t.name.clone()),
                     "tenants": reports.len().max(1),
                     "tenant_programmed_pairs": tenant_pairs,

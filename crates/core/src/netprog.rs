@@ -597,7 +597,7 @@ fn pair_program(a: usize, b: usize, slot: Slot, resolve: &impl Fn(usize) -> Node
 #[cfg(test)]
 mod tests {
     use super::*;
-    use celestial_constellation::{PathAlgorithm, PathEngine};
+    use celestial_constellation::PathEngine;
 
     fn resolve(index: usize) -> NodeId {
         NodeId::ground_station(index as u32)
@@ -872,7 +872,7 @@ mod tests {
         let mut serial = ProgrammeStore::new();
         let mut threaded = ProgrammeStore::new();
         threaded.set_threads(4);
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
+        let mut engine = PathEngine::with_threads(1);
         for step in 0..4 {
             let state = constellation.state_at(step as f64 * 15.0).unwrap();
             let mut sources: Vec<u32> = Vec::new();
@@ -907,7 +907,7 @@ mod tests {
         let graph = NetworkGraph::from_links(3, [(0, 1, 10, 1_000), (1, 2, 10, 1_000)]);
         // Solve only source 0: source 2's row is unsolved, so its
         // predecessor chain is broken from the first step.
-        let mut engine = PathEngine::with_threads(PathAlgorithm::Dijkstra, 1);
+        let mut engine = PathEngine::with_threads(1);
         let paths = engine.solve_sources(&graph, &[0]).clone();
         assert_eq!(bottleneck_bandwidth(&paths, &graph, 2, 0), None);
         // The solved row works normally.

@@ -51,8 +51,8 @@
 use crate::netprog::ProgrammeStore;
 use celestial_constellation::snapshot::{LinkProperties, MachineActivity};
 use celestial_constellation::{
-    Constellation, ConstellationDiff, ConstellationSnapshot, ConstellationState, PathAlgorithm,
-    PathEngine, ScopeParams, ShortestPaths, SolveKind, SolveScope, SolveStats, StateBuffers,
+    Constellation, ConstellationDiff, ConstellationSnapshot, ConstellationState, PathEngine,
+    ScopeParams, ShortestPaths, SolveScope, SolveStats, StateBuffers,
 };
 use celestial_netem::{PairProgram, ProgrammeDelta, ShardPlan};
 use celestial_types::ids::{NodeId, TenantId};
@@ -120,8 +120,7 @@ pub struct PipelineStats {
 }
 
 /// Summary of the scale-aware solve scope of one epoch, surfaced through
-/// the `/info` route (`scope*` fields). All zeros when the epoch ran an
-/// unscoped solve (e.g. the incremental algorithm). See `docs/MEGASCALE.md`.
+/// the `/info` route (`scope*` fields). See `docs/MEGASCALE.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScopeReport {
     /// Satellites inside the (unexpanded) bounding box this epoch — the
@@ -235,7 +234,7 @@ impl EpochBundle {
 
 /// The deterministic epoch computation: constellation state, path solve and
 /// programme delta, with all epoch-to-epoch caches (previous snapshot,
-/// incremental path engine, retained programme) owned here so the whole
+/// path engine, retained programme) owned here so the whole
 /// computation can move onto a background worker thread.
 #[derive(Debug)]
 pub struct EpochCompute {
@@ -384,16 +383,10 @@ impl EpochCompute {
         // bounding box (margin-expanded, plus per-ground-station
         // neighbourhoods and ALT landmarks) and run bounded rows that are
         // bit-identical to full rows on every programme source — the
-        // property-tested exactness contract (`docs/MEGASCALE.md`). The
-        // incremental algorithm keeps the full solve: its row reuse across
-        // epochs is incompatible with bounded rows.
-        if self.constellation.path_algorithm() == PathAlgorithm::Incremental {
-            self.engine.solve_sources(state.graph(), &self.sources);
-        } else {
-            let bounding_box = self.constellation.bounding_box();
-            self.scope.derive(state, &bounding_box, &self.scope_params);
-            self.engine.solve_scope(state.graph(), &self.scope);
-        }
+        // property-tested exactness contract (`docs/MEGASCALE.md`).
+        let bounding_box = self.constellation.bounding_box();
+        self.scope.derive(state, &bounding_box, &self.scope_params);
+        self.engine.solve_scope(state.graph(), &self.scope);
         let paths = self.engine.paths().expect("paths were just solved");
         // The fan-out: everything above ran once; each tenant's programme
         // walk reads the same state and path matrix.
@@ -424,12 +417,9 @@ impl EpochCompute {
     }
 
     /// The solve scope of the most recent epoch, as surfaced through `/info`
-    /// (all zeros when the epoch ran an unscoped solve).
+    /// (all zeros before the first epoch).
     pub fn scope_report(&self) -> ScopeReport {
         let stats = self.engine.last_solve();
-        if stats.kind != SolveKind::Scoped {
-            return ScopeReport::default();
-        }
         let total = self.buffers.state().map_or(0, |s| s.satellite_count());
         let predicted =
             (self.constellation.bounding_box().area_fraction() * total as f64).round() as usize;

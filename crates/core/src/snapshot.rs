@@ -280,12 +280,13 @@ mod tests {
             .bounding_box(BoundingBox::west_africa())
             .build()
             .unwrap();
-        let mut c = crate::Coordinator::with_fanout(
+        let mut c = crate::Coordinator::with_scoped_fanout(
             constellation,
             SimDuration::from_secs(2),
             crate::PipelineMode::Synchronous,
             None,
             vec!["alpha".to_owned(), "beta".to_owned()],
+            celestial_constellation::ScopeParams::default(),
         );
         let store = Arc::new(SnapshotStore::new(c.database().clone()));
         c.update(0.0).unwrap();

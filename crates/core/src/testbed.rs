@@ -253,7 +253,6 @@ pub struct TenantRuntime {
     managers: Vec<MachineManager>,
     node_to_host: BTreeMap<NodeId, usize>,
     network: NetworkPlane,
-    placement: PlacementPolicy,
     rng: SimRng,
     scheduled_faults: Vec<FaultEvent>,
     host_cpu: Vec<TimeSeries>,
@@ -304,7 +303,6 @@ impl TenantRuntime {
             managers,
             node_to_host: BTreeMap::new(),
             network,
-            placement: PlacementPolicy::RoundRobin,
             // Every tenant draws from an identical stream seeded by the run
             // seed, exactly like a solo testbed: a pinned tenant's run is
             // reproducible independently of how many neighbours it has.
@@ -386,7 +384,7 @@ impl TenantRuntime {
         // The placement policy is the same pure function the coordinator's
         // programme partitioning uses, so a sharded plane's slices always
         // agree with where the machines actually run.
-        let host = self.placement.host_for(node, self.managers.len());
+        let host = PlacementPolicy::RoundRobin.host_for(node, self.managers.len());
         self.node_to_host.insert(node, host.index());
         self.network.place(node, host);
         host.index()

@@ -334,41 +334,58 @@ fn split_array_items(inner: &str) -> Vec<&str> {
     items
 }
 
-/// Convenience accessors over a parsed table.
+/// Typed accessors over a parsed table. An absent key is `None`; a key
+/// that is present with the wrong type is an error naming the key, never a
+/// silent default.
 pub trait TableExt {
     /// A required float value (integers widen).
     fn require_f64(&self, key: &str) -> Result<f64>;
-    /// An optional float value.
-    fn get_f64(&self, key: &str) -> Option<f64>;
+    /// An optional float value (integers widen).
+    fn get_f64(&self, key: &str) -> Result<Option<f64>>;
     /// An optional integer value.
-    fn get_i64(&self, key: &str) -> Option<i64>;
+    fn get_i64(&self, key: &str) -> Result<Option<i64>>;
     /// An optional string value.
-    fn get_str(&self, key: &str) -> Option<&str>;
+    fn get_str(&self, key: &str) -> Result<Option<&str>>;
     /// An optional boolean value.
-    fn get_bool(&self, key: &str) -> Option<bool>;
+    fn get_bool(&self, key: &str) -> Result<Option<bool>>;
+}
+
+/// Converts the value of `key`, if present, failing when it has another
+/// type than `expected`.
+fn typed<'a, T>(
+    table: &'a TomlTable,
+    key: &str,
+    expected: &str,
+    convert: impl FnOnce(&'a TomlValue) -> Option<T>,
+) -> Result<Option<T>> {
+    match table.get(key) {
+        None => Ok(None),
+        Some(value) => convert(value)
+            .map(Some)
+            .ok_or_else(|| Error::config(format!("key '{key}' must be {expected}"))),
+    }
 }
 
 impl TableExt for TomlTable {
     fn require_f64(&self, key: &str) -> Result<f64> {
-        self.get(key)
-            .and_then(TomlValue::as_f64)
-            .ok_or_else(|| Error::config(format!("missing or non-numeric key '{key}'")))
+        self.get_f64(key)?
+            .ok_or_else(|| Error::config(format!("missing key '{key}'")))
     }
 
-    fn get_f64(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(TomlValue::as_f64)
+    fn get_f64(&self, key: &str) -> Result<Option<f64>> {
+        typed(self, key, "a number", TomlValue::as_f64)
     }
 
-    fn get_i64(&self, key: &str) -> Option<i64> {
-        self.get(key).and_then(TomlValue::as_i64)
+    fn get_i64(&self, key: &str) -> Result<Option<i64>> {
+        typed(self, key, "an integer", TomlValue::as_i64)
     }
 
-    fn get_str(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(TomlValue::as_str)
+    fn get_str(&self, key: &str) -> Result<Option<&str>> {
+        typed(self, key, "a string", TomlValue::as_str)
     }
 
-    fn get_bool(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(TomlValue::as_bool)
+    fn get_bool(&self, key: &str) -> Result<Option<bool>> {
+        typed(self, key, "a boolean", TomlValue::as_bool)
     }
 }
 
@@ -398,16 +415,16 @@ altitude-km = 1110.0
 planes = 32
 "#;
         let table = parse(doc).expect("valid document");
-        assert_eq!(table.get_i64("seed"), Some(42));
-        assert_eq!(table.get_f64("update-interval-s"), Some(2.5));
-        assert_eq!(table.get_str("name"), Some("starlink meetup"));
-        assert_eq!(table.get_bool("animate"), Some(false));
+        assert_eq!(table.get_i64("seed").unwrap(), Some(42));
+        assert_eq!(table.get_f64("update-interval-s").unwrap(), Some(2.5));
+        assert_eq!(table.get_str("name").unwrap(), Some("starlink meetup"));
+        assert_eq!(table.get_bool("animate").unwrap(), Some(false));
         let bbox = table["bounding-box"].as_table().expect("table");
-        assert_eq!(bbox.get_f64("lat-min"), Some(-5.0));
-        assert_eq!(bbox.get_f64("lat-max"), Some(25.0));
+        assert_eq!(bbox.get_f64("lat-min").unwrap(), Some(-5.0));
+        assert_eq!(bbox.get_f64("lat-max").unwrap(), Some(25.0));
         let shells = table["shell"].as_table_array().expect("table array");
         assert_eq!(shells.len(), 2);
-        assert_eq!(shells[1].get_f64("altitude-km"), Some(1110.0));
+        assert_eq!(shells[1].get_f64("altitude-km").unwrap(), Some(1110.0));
     }
 
     #[test]
@@ -452,12 +469,12 @@ kind = "iot"
 "#;
         let table = parse(doc).expect("valid document");
         let scenario = table["scenario"].as_table().expect("table");
-        assert_eq!(scenario.get_i64("tenants"), Some(4));
+        assert_eq!(scenario.get_i64("tenants").unwrap(), Some(4));
         let blocks = scenario["block"].as_table_array().expect("table array");
         assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].get_str("kind"), Some("cbr"));
-        assert_eq!(blocks[0].get_i64("population"), Some(100));
-        assert_eq!(blocks[1].get_str("kind"), Some("iot"));
+        assert_eq!(blocks[0].get_str("kind").unwrap(), Some("cbr"));
+        assert_eq!(blocks[0].get_i64("population").unwrap(), Some(100));
+        assert_eq!(blocks[1].get_str("kind").unwrap(), Some("iot"));
     }
 
     #[test]
@@ -467,7 +484,7 @@ kind = "iot"
         let doc = "[[scenario.block]]\nkind = \"cbr\"\n\n[scenario]\ntenants = 2\n";
         let table = parse(doc).expect("valid document");
         let scenario = table["scenario"].as_table().expect("table");
-        assert_eq!(scenario.get_i64("tenants"), Some(2));
+        assert_eq!(scenario.get_i64("tenants").unwrap(), Some(2));
         assert_eq!(scenario["block"].as_table_array().unwrap().len(), 1);
         // Duplicate explicit headers are still rejected.
         assert!(parse("[a.b]\nx = 1\n[a.b]\ny = 2").is_err());
@@ -485,14 +502,14 @@ kind = "iot"
     #[test]
     fn comments_and_hash_in_strings() {
         let table = parse("name = \"value # not a comment\" # real comment").unwrap();
-        assert_eq!(table.get_str("name"), Some("value # not a comment"));
+        assert_eq!(table.get_str("name").unwrap(), Some("value # not a comment"));
     }
 
     #[test]
     fn integers_with_underscores_and_floats_with_exponent() {
         let table = parse("big = 1_000_000\nsmall = 1.5e-3").unwrap();
-        assert_eq!(table.get_i64("big"), Some(1_000_000));
-        assert!((table.get_f64("small").unwrap() - 0.0015).abs() < 1e-12);
+        assert_eq!(table.get_i64("big").unwrap(), Some(1_000_000));
+        assert!((table.get_f64("small").unwrap().unwrap() - 0.0015).abs() < 1e-12);
     }
 
     #[test]
@@ -502,4 +519,5 @@ kind = "iot"
         let err = table.require_f64("y").unwrap_err();
         assert!(err.to_string().contains("'y'"));
     }
+
 }

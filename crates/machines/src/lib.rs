@@ -15,7 +15,6 @@
 //!   constrained satellite servers,
 //! * [`host`] — Celestial hosts with core/memory capacity, over-provisioning
 //!   and utilisation accounting (Figs. 7 and 8),
-//! * [`scheduler`] — placement of machines onto hosts,
 //! * [`fault`] — fault injection for radiation-induced crashes and reboots,
 //! * [`chaos`] — correlated fault generators (plane outages, solar storms,
 //!   region blackouts, link-flap storms) with seed-deterministic,
@@ -49,11 +48,9 @@ pub mod fault;
 pub mod firecracker;
 pub mod host;
 pub mod machine;
-pub mod scheduler;
 
 pub use chaos::{ChaosEngine, ChaosSpec, ChaosTopology, ChaosWindow};
 pub use fault::{FaultEvent, FaultInjector, FaultKind};
 pub use firecracker::{FirecrackerModel, RootfsCache};
 pub use host::Host;
 pub use machine::{MachineState, MicroVm};
-pub use scheduler::{PlacementPolicy, Scheduler};

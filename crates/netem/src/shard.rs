@@ -10,8 +10,8 @@
 //!
 //! * [`PlacementPolicy`] pins every node to a host deterministically (the
 //!   round-robin pinning the testbed has always used),
-//! * [`ShardPlan`] is the tiny, copyable description of the sharding (host
-//!   count + policy) shared between the coordinator's programme
+//! * [`ShardPlan`] is the tiny, copyable description of the sharding (the
+//!   host count) shared between the coordinator's programme
 //!   partitioning and the emulation,
 //! * [`HostShard`] is one host's slice of the virtual network: it owns
 //!   exactly the directed rules originating on its host, so a cross-host
@@ -62,11 +62,9 @@ impl PlacementPolicy {
     /// commute with re-pinning to a different host count (property-tested in
     /// `tests/shard_partition.rs`).
     pub fn pin(&self, node: NodeId) -> usize {
-        match self {
-            PlacementPolicy::RoundRobin => match node {
-                NodeId::GroundStation(gst) => gst.index(),
-                NodeId::Satellite(sat) => sat.shell.index() * 31 + sat.index as usize,
-            },
+        match node {
+            NodeId::GroundStation(gst) => gst.index(),
+            NodeId::Satellite(sat) => sat.shell.index() * 31 + sat.index as usize,
         }
     }
 
@@ -79,22 +77,19 @@ impl PlacementPolicy {
 
 /// The sharding description shared between the coordinator (which partitions
 /// the programme per host) and the emulation (which applies each host's
-/// slice): the number of hosts and the placement policy.
+/// slice): the number of hosts. Nodes are pinned with
+/// [`PlacementPolicy::RoundRobin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ShardPlan {
     /// Number of hosts (= shards).
     pub hosts: u32,
-    /// The machine-to-host pinning.
-    pub policy: PlacementPolicy,
 }
 
 impl ShardPlan {
-    /// Creates a plan over `hosts` hosts with the default round-robin
-    /// policy.
+    /// Creates a plan over `hosts` hosts.
     pub fn new(hosts: u32) -> Self {
         ShardPlan {
             hosts: hosts.max(1),
-            policy: PlacementPolicy::RoundRobin,
         }
     }
 
@@ -105,7 +100,7 @@ impl ShardPlan {
 
     /// The host a node is pinned to under this plan.
     pub fn host_of(&self, node: NodeId) -> HostId {
-        self.policy.host_for(node, self.hosts as usize)
+        PlacementPolicy::RoundRobin.host_for(node, self.hosts as usize)
     }
 
     /// The shards a programmed pair belongs to: its two endpoint hosts —

@@ -223,12 +223,13 @@ mod tests {
             .bounding_box(BoundingBox::west_africa())
             .build()
             .unwrap();
-        let mut coordinator = Coordinator::with_fanout(
+        let mut coordinator = Coordinator::with_scoped_fanout(
             constellation,
             SimDuration::from_secs(2),
             celestial::PipelineMode::Synchronous,
             None,
             vec!["alpha".to_owned(), "beta".to_owned()],
+            celestial_constellation::ScopeParams::default(),
         );
         let store = coordinator.enable_snapshots();
         coordinator.update(0.0).unwrap();

@@ -171,10 +171,8 @@ fn no_epoch_programs_an_uncapped_pair_under_link_flaps() {
         let mut suppressed = base.clone();
         suppressed.set_link_suppression(mask);
         let interval = SimDuration::from_secs_f64(1.0);
-        let mut chaotic =
-            Coordinator::with_options(suppressed, interval, PipelineMode::Synchronous, None);
-        let mut reference =
-            Coordinator::with_options(base.clone(), interval, PipelineMode::Synchronous, None);
+        let mut chaotic = Coordinator::new(suppressed, interval);
+        let mut reference = Coordinator::new(base.clone(), interval);
         let mut suppressed_epochs = 0usize;
         for epoch in 0..=45u32 {
             let t = f64::from(epoch);

@@ -15,7 +15,7 @@ use celestial_types::ids::TenantId;
 use celestial_constellation::Constellation;
 use celestial_serve::ServePlane;
 use httpd::Client;
-use celestial_constellation::{BoundingBox, GroundStation, Shell};
+use celestial_constellation::{BoundingBox, GroundStation, ScopeParams, Shell};
 use celestial_machines::FaultEvent;
 use celestial_netem::packet::Packet;
 use celestial_sgp4::WalkerShell;
@@ -290,7 +290,14 @@ pub fn serve_constellation() -> Constellation {
 /// exactly when their journals are bit-identical.
 pub fn serve_journal(mode: PipelineMode, epochs: u32) -> Vec<String> {
     let interval = SimDuration::from_secs(1);
-    let mut coordinator = Coordinator::with_mode(serve_constellation(), interval, mode);
+    let mut coordinator = Coordinator::with_scoped_fanout(
+        serve_constellation(),
+        interval,
+        mode,
+        None,
+        vec!["tenant-0".to_owned()],
+        ScopeParams::default(),
+    );
     let store = coordinator.enable_snapshots();
     let plane = ServePlane::start(&ServeConfig::default(), store).expect("serve plane starts");
     let mut client = Client::connect(plane.addr()).expect("connect to serve plane");

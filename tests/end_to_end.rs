@@ -396,38 +396,6 @@ fn active_satellites_can_exchange_messages() {
     assert_eq!(testbed.failed_recoveries(), 0);
 }
 
-#[test]
-fn floyd_warshall_configuration_works_end_to_end() {
-    // A tiny constellation configured to use the Floyd–Warshall all-pairs
-    // algorithm exercises the alternative code path through the public API.
-    let config = TestbedConfig::builder()
-        .seed(9)
-        .update_interval_s(5.0)
-        .duration_s(20.0)
-        .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, 8, 8)))
-        .ground_station(GroundStation::new("quito", Geodetic::new(-0.18, -78.47, 0.0)))
-        .ground_station(GroundStation::new("nairobi", Geodetic::new(-1.29, 36.82, 0.0)))
-        .path_algorithm(celestial_constellation::PathAlgorithm::FloydWarshall)
-        .hosts(vec![HostConfig::default()])
-        .build()
-        .expect("valid config");
-    let constellation = celestial_constellation::Constellation::builder()
-        .shells(config.shells.iter().cloned())
-        .ground_stations(config.ground_stations.iter().cloned())
-        .path_algorithm(config.path_algorithm)
-        .build()
-        .expect("constellation");
-    let state = constellation.state_at(0.0).expect("state");
-    let paths = state.all_pairs_paths();
-    assert_eq!(paths.node_count(), 66);
-
-    let mut testbed = Testbed::new(&config).expect("testbed");
-    struct Nop;
-    impl GuestApplication for Nop {}
-    testbed.run(&mut Nop).expect("run");
-    assert!(testbed.coordinator().update_count() >= 4);
-}
-
 /// A raw `shards = N` TOML drives a sharded testbed end to end: the plane
 /// comes up sharded, traffic flows, and the `/info`-visible shard figures
 /// are populated (see `docs/SHARDING.md`).

@@ -9,7 +9,7 @@ use celestial::config::TestbedConfig;
 use celestial::pipeline::PipelineMode;
 use celestial::testbed::{AppContext, GuestApplication, Testbed};
 use celestial::Coordinator;
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
+use celestial_constellation::{BoundingBox, Constellation, GroundStation, ScopeParams, Shell};
 use celestial_machines::{FaultEvent, FaultKind};
 use celestial_netem::packet::Packet;
 use celestial_sgp4::WalkerShell;
@@ -35,7 +35,14 @@ fn constellation() -> Constellation {
 fn pipelined_coordinator_is_bit_identical_to_synchronous_across_100_epochs() {
     let interval = SimDuration::from_secs(2);
     let mut sync = Coordinator::new(constellation(), interval);
-    let mut pipe = Coordinator::with_mode(constellation(), interval, PipelineMode::Pipelined);
+    let mut pipe = Coordinator::with_scoped_fanout(
+        constellation(),
+        interval,
+        PipelineMode::Pipelined,
+        None,
+        vec!["tenant-0".to_owned()],
+        ScopeParams::default(),
+    );
     assert_eq!(pipe.pipeline_mode(), PipelineMode::Pipelined);
 
     let mut t = SimInstant::EPOCH;

@@ -12,7 +12,7 @@
 
 use celestial::pipeline::PipelineMode;
 use celestial::Coordinator;
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
+use celestial_constellation::{BoundingBox, Constellation, GroundStation, ScopeParams, Shell};
 use celestial_netem::shard::{PlacementPolicy, ShardPlan};
 use celestial_netem::ProgrammeDelta;
 use celestial_sgp4::WalkerShell;
@@ -34,11 +34,13 @@ fn constellation() -> Constellation {
 }
 
 fn sharded_coordinator(hosts: u32, interval_s: f64) -> Coordinator {
-    Coordinator::with_options(
+    Coordinator::with_scoped_fanout(
         constellation(),
         SimDuration::from_secs_f64(interval_s),
         PipelineMode::Synchronous,
         Some(ShardPlan::new(hosts)),
+        vec!["tenant-0".to_owned()],
+        ScopeParams::default(),
     )
 }
 

@@ -11,7 +11,7 @@
 
 use celestial::pipeline::{EpochCompute, EpochPipeline, PipelineMode};
 use celestial::Coordinator;
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
+use celestial_constellation::{BoundingBox, Constellation, GroundStation, ScopeParams, Shell};
 use celestial_sgp4::WalkerShell;
 use celestial_types::geo::Geodetic;
 use celestial_types::time::SimDuration;
@@ -92,12 +92,13 @@ fn pipeline_windows(tenants: usize) -> (u64, u64) {
 /// (lane replay, `/info` slices, diff extraction), two consecutive windows.
 fn coordinator_windows(tenants: usize) -> (u64, u64) {
     let names = (0..tenants).map(|i| format!("tenant-{i}")).collect();
-    let mut coordinator = Coordinator::with_fanout(
+    let mut coordinator = Coordinator::with_scoped_fanout(
         constellation(),
         SimDuration::from_secs(1),
         PipelineMode::Synchronous,
         None,
         names,
+        ScopeParams::default(),
     );
     let mut epoch = 0u32;
     let mut run = |coordinator: &mut Coordinator, epochs: u32| {
