@@ -14,14 +14,15 @@
 //! events — the paper's core overlap trick (see `docs/PIPELINE.md`).
 //!
 //! One coordinator can fan a single pipeline out to N tenants
-//! ([`Coordinator::with_scoped_fanout`]): the shared orbital state and path
-//! matrix are computed and installed once per update, while each tenant
-//! keeps its own programme mirror and change set in a private `TenantLane`
-//! slot. A single tenant is the degenerate case and stays bit-identical to
-//! the pre-tenant coordinator (see `docs/TENANTS.md`).
+//! ([`Coordinator::with_scoped_fanout`]). Tenants share the constellation,
+//! so the orbital state, path matrix *and* network programme are computed
+//! and installed once per update: the coordinator keeps one change set, one
+//! per-host partition and one programme mirror, and the per-tenant accessors
+//! check the tenant index and hand out that shared data. A single tenant is
+//! the degenerate case and runs the same code (see `docs/TENANTS.md`).
 
 use crate::database::{InfoDatabase, PipelineReport, ProgrammeStats};
-use crate::pipeline::{clone_deltas_into, EpochCompute, EpochPipeline, PipelineMode, PipelineStats};
+use crate::pipeline::{EpochCompute, EpochPipeline, PipelineMode, PipelineStats, TenantEpoch};
 use crate::snapshot::SnapshotStore;
 use std::sync::Arc;
 use celestial_constellation::{Constellation, ConstellationDiff, LinkKind, ScopeParams, SolveStats};
@@ -32,22 +33,6 @@ use celestial_types::time::SimDuration;
 use celestial_types::{Bandwidth, Latency, Result};
 use std::collections::BTreeMap;
 
-/// One tenant's retained slice of the coordinator: its name, the most
-/// recent change set (full and per-host) and the delta-replayed
-/// full-programme mirror.
-#[derive(Debug, Default)]
-struct TenantLane {
-    name: String,
-    /// The change set of the most recent update.
-    delta: ProgrammeDelta,
-    /// The per-host partition of `delta` (empty without a shard plan).
-    host_deltas: Vec<ProgrammeDelta>,
-    /// The full programme, maintained by replaying each epoch's delta —
-    /// `O(delta)` per update, so the pipelined mode never has to ship the
-    /// full pair table across the worker boundary.
-    programme: BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)>,
-}
-
 /// The central coordinator.
 #[derive(Debug)]
 pub struct Coordinator {
@@ -57,9 +42,13 @@ pub struct Coordinator {
     update_interval: SimDuration,
     database: InfoDatabase,
     pipeline: EpochPipeline,
-    /// One retained slice per tenant (at least one); index 0 is the solo
-    /// tenant every single-tenant accessor delegates to.
-    lanes: Vec<TenantLane>,
+    /// The change sets of the most recent update (full and per host),
+    /// shared by every tenant.
+    latest: TenantEpoch,
+    /// The full programme, maintained by replaying each epoch's delta —
+    /// `O(delta)` per update, so the pipelined mode never has to ship the
+    /// full pair table across the worker boundary.
+    programme: BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)>,
     /// The host-sharding plan, when the programme is partitioned per host.
     shard_plan: Option<ShardPlan>,
     last_solve: SolveStats,
@@ -95,10 +84,10 @@ impl Coordinator {
     ///   ([`Coordinator::host_deltas`]), the slices each host's machine
     ///   manager applies locally (see `docs/SHARDING.md`).
     /// * `tenant_names` — one tenant per entry: the orbital propagation,
-    ///   snapshot diff and path solve run once per update; each tenant gets
-    ///   its own programme change stream ([`Coordinator::programme_delta_for`])
-    ///   off the shared path matrix. Tenant names route per-tenant info-API
-    ///   queries (see `docs/TENANTS.md`).
+    ///   snapshot diff, path solve and programme walk run once per update,
+    ///   and every tenant reads the same programme change stream
+    ///   ([`Coordinator::programme_delta_for`]). Tenant names route
+    ///   per-tenant info-API queries (see `docs/TENANTS.md`).
     /// * `scope_params` — the `[paths]` configuration table. The parameters
     ///   tune how much of the constellation each epoch's path solve covers —
     ///   never the results: every row the programme or a query reads is exact
@@ -131,19 +120,13 @@ impl Coordinator {
         compute.set_tenant_count(tenant_names.len());
         compute.set_scope_params(scope_params);
         let pipeline = EpochPipeline::new(compute, mode, update_interval);
-        let lanes = tenant_names
-            .into_iter()
-            .map(|name| TenantLane {
-                name,
-                ..TenantLane::default()
-            })
-            .collect();
         Coordinator {
             constellation,
             update_interval,
             database,
             pipeline,
-            lanes,
+            latest: TenantEpoch::default(),
+            programme: BTreeMap::new(),
             shard_plan,
             last_solve: SolveStats::default(),
             updates: 0,
@@ -197,41 +180,55 @@ impl Coordinator {
         self.shard_plan
     }
 
-    /// The per-host partition of the first tenant's most recent change set,
-    /// indexed by host. Empty without a shard plan. Cross-host pairs appear
-    /// in both endpoint slices; the union of all slices is exactly
+    /// The per-host partition of the most recent change set, indexed by
+    /// host. Empty without a shard plan. Cross-host pairs appear in both
+    /// endpoint slices; the union of all slices is exactly
     /// [`Coordinator::programme_delta`].
     pub fn host_deltas(&self) -> &[ProgrammeDelta] {
-        &self.lanes[0].host_deltas
+        &self.latest.host_deltas
     }
 
     /// Number of tenants this coordinator fans out to (at least 1).
     pub fn tenant_count(&self) -> usize {
-        self.lanes.len()
+        self.database.tenant_reports().len()
     }
 
     /// The configured tenant names, indexed by [`TenantId`].
     pub fn tenant_names(&self) -> impl Iterator<Item = &str> {
-        self.lanes.iter().map(|lane| lane.name.as_str())
+        self.database
+            .tenant_reports()
+            .iter()
+            .map(|t| t.name.as_str())
     }
 
-    /// One tenant's change set of the most recent update.
+    /// One tenant's change set of the most recent update (the shared
+    /// [`Coordinator::programme_delta`]).
     ///
     /// # Panics
     ///
     /// Panics if `tenant` is out of range.
     pub fn programme_delta_for(&self, tenant: TenantId) -> &ProgrammeDelta {
-        &self.lanes[tenant.index()].delta
+        self.check_tenant(tenant);
+        &self.latest.delta
     }
 
     /// One tenant's per-host change-set partition of the most recent update
-    /// (empty without a shard plan).
+    /// (the shared [`Coordinator::host_deltas`]; empty without a shard plan).
     ///
     /// # Panics
     ///
     /// Panics if `tenant` is out of range.
     pub fn host_deltas_for(&self, tenant: TenantId) -> &[ProgrammeDelta] {
-        &self.lanes[tenant.index()].host_deltas
+        self.check_tenant(tenant);
+        &self.latest.host_deltas
+    }
+
+    fn check_tenant(&self, tenant: TenantId) {
+        let count = self.tenant_count();
+        assert!(
+            tenant.index() < count,
+            "{tenant} out of range for a {count}-tenant coordinator"
+        );
     }
 
     /// Records what applying the sharded programme actually cost (per-shard
@@ -276,41 +273,36 @@ impl Coordinator {
         self.database.update_from(&bundle.shared.state);
         self.database.set_paths_from(&bundle.shared.paths);
 
-        // Per tenant: replay the delta onto the lane's full-programme
-        // mirror, retain the change sets, refresh the `/info` slice.
-        for (index, (lane, tenant)) in self.lanes.iter_mut().zip(&bundle.tenants).enumerate() {
-            for pair in tenant.delta.added.iter().chain(&tenant.delta.changed) {
-                lane.programme
-                    .insert((pair.a, pair.b), (pair.latency, pair.bandwidth));
-            }
-            for pair in &tenant.delta.removed {
-                lane.programme.remove(pair);
-            }
-            debug_assert_eq!(
-                lane.programme.len(),
-                tenant.programme_pairs,
-                "programme mirror diverged from the store"
-            );
-            lane.delta.clone_from(&tenant.delta);
-            clone_deltas_into(&mut lane.host_deltas, &tenant.host_deltas);
-            self.database.update_tenant_report(
-                index,
-                &lane.name,
-                tenant.programme_pairs,
-                tenant.delta.op_count(),
-            );
+        // Retain the shared change sets by swapping buffers with the bundle
+        // (the recycled bundle refills the previous ones in place), replay
+        // the delta onto the full-programme mirror and refresh every
+        // tenant's `/info` slice.
+        std::mem::swap(&mut self.latest, &mut bundle.programme);
+        let latest = &self.latest;
+        for pair in latest.delta.added.iter().chain(&latest.delta.changed) {
+            self.programme
+                .insert((pair.a, pair.b), (pair.latency, pair.bandwidth));
         }
-
-        let solo = bundle.solo();
+        for pair in &latest.delta.removed {
+            self.programme.remove(pair);
+        }
+        debug_assert_eq!(
+            self.programme.len(),
+            latest.programme_pairs,
+            "programme mirror diverged from the store"
+        );
+        let delta_ops = latest.delta.op_count();
+        self.database
+            .set_tenant_programmes(latest.programme_pairs, delta_ops);
         if self.shard_plan.is_some() {
-            self.database.set_shard_pairs(&solo.shard_pairs);
+            self.database.set_shard_pairs(&latest.shard_pairs);
         }
         self.last_solve = bundle.shared.solve;
         self.updates += 1;
         self.database.set_programme_stats(ProgrammeStats {
-            epoch: solo.programme_epoch,
-            pairs: solo.programme_pairs,
-            delta_ops: solo.delta.op_count(),
+            epoch: self.latest.programme_epoch,
+            pairs: self.latest.programme_pairs,
+            delta_ops,
         });
         self.database.set_pipeline_report(PipelineReport {
             stats: self.pipeline.stats(),
@@ -333,19 +325,18 @@ impl Coordinator {
         self.last_solve
     }
 
-    /// The first tenant's change set produced by the most recent update:
-    /// exactly the `tc` rules the machine managers must add, re-shape or
+    /// The change set produced by the most recent update, shared by every
+    /// tenant: exactly the `tc` rules the machine managers must add, re-shape or
     /// tear down. Empty before the first update (and on steady-state updates
     /// that moved no pair across the 0.1 ms quantization threshold).
     pub fn programme_delta(&self) -> &ProgrammeDelta {
-        &self.lanes[0].delta
+        &self.latest.delta
     }
 
-    /// Number of pairs currently programmed for the first tenant (the
-    /// full-programme size a non-incremental coordinator would rewrite every
-    /// update).
+    /// Number of pairs currently programmed (the full-programme size a
+    /// non-incremental coordinator would rewrite every update).
     pub fn programme_pair_count(&self) -> usize {
-        self.lanes[0].programme.len()
+        self.programme.len()
     }
 
     /// The full per-pair network programme of the current state: the
@@ -368,7 +359,7 @@ impl Coordinator {
         self.network_programme_for(TenantId(0))
     }
 
-    /// One tenant's full per-pair network programme (see
+    /// One tenant's full per-pair network programme (the shared
     /// [`Coordinator::network_programme`]).
     ///
     /// # Errors
@@ -379,10 +370,11 @@ impl Coordinator {
     ///
     /// Panics if `tenant` is out of range.
     pub fn network_programme_for(&self, tenant: TenantId) -> Result<Vec<PairProgram>> {
+        self.check_tenant(tenant);
         if self.updates == 0 {
             return Err(celestial_types::Error::InfoApi("no update yet".to_owned()));
         }
-        Ok(self.lanes[tenant.index()]
+        Ok(self
             .programme
             .iter()
             .map(|(&(a, b), &(latency, bandwidth))| PairProgram {
@@ -417,15 +409,18 @@ mod tests {
     use celestial_types::geo::Geodetic;
     use celestial_types::Bandwidth;
 
-    fn coordinator() -> Coordinator {
-        let constellation = Constellation::builder()
+    fn constellation() -> Constellation {
+        Constellation::builder()
             .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, 12, 16)))
             .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
             .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
             .bounding_box(BoundingBox::west_africa())
             .build()
-            .unwrap();
-        Coordinator::new(constellation, SimDuration::from_secs(2))
+            .unwrap()
+    }
+
+    fn coordinator() -> Coordinator {
+        Coordinator::new(constellation(), SimDuration::from_secs(2))
     }
 
     #[test]
@@ -561,57 +556,79 @@ mod tests {
         assert_eq!(c.constellation().satellite_count(), 192);
     }
 
-    #[test]
-    fn fanned_out_coordinator_serves_every_tenant_the_solo_stream() {
-        let build = || {
-            Constellation::builder()
-                .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, 12, 16)))
-                .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
-                .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
-                .bounding_box(BoundingBox::west_africa())
-                .build()
-                .unwrap()
-        };
-        let mut solo = Coordinator::new(build(), SimDuration::from_secs(2));
-        let names: Vec<String> = (0..3).map(|i| format!("tenant-{i}")).collect();
-        let mut fleet = Coordinator::with_scoped_fanout(
-            build(),
+    fn fanout(tenants: usize, shard_plan: Option<ShardPlan>) -> Coordinator {
+        Coordinator::with_scoped_fanout(
+            constellation(),
             SimDuration::from_secs(2),
             PipelineMode::Synchronous,
-            None,
-            names,
+            shard_plan,
+            (0..tenants).map(|i| format!("tenant-{i}")).collect(),
             ScopeParams::default(),
-        );
-        assert_eq!(fleet.tenant_count(), 3);
-        assert_eq!(
-            fleet.tenant_names().collect::<Vec<_>>(),
-            ["tenant-0", "tenant-1", "tenant-2"]
-        );
-        // Names resolve before the first update.
-        assert_eq!(fleet.database().tenant_index("tenant-2"), Some(2));
-        assert_eq!(fleet.database().tenant_index("tenant-9"), None);
+        )
+    }
 
-        for step in 0..3 {
-            let t = step as f64 * 2.0;
-            let a = solo.update(t).unwrap();
-            let b = fleet.update(t).unwrap();
-            assert_eq!(a, b, "shared diff diverged at t={t}");
-            for tenant in 0..3 {
-                let tenant = TenantId(tenant);
-                assert_eq!(
-                    fleet.programme_delta_for(tenant),
-                    solo.programme_delta(),
-                    "{tenant} delta diverged at t={t}"
-                );
-                assert_eq!(
-                    fleet.network_programme_for(tenant).unwrap(),
-                    solo.network_programme().unwrap()
-                );
+    #[test]
+    fn fanned_out_coordinator_serves_every_tenant_the_solo_stream() {
+        for shard_plan in [None, Some(ShardPlan::new(3))] {
+            let mut solo = fanout(1, shard_plan);
+            let mut fleet = fanout(3, shard_plan);
+            assert_eq!(fleet.tenant_count(), 3);
+            assert_eq!(
+                fleet.tenant_names().collect::<Vec<_>>(),
+                ["tenant-0", "tenant-1", "tenant-2"]
+            );
+            // Names resolve before the first update.
+            assert_eq!(fleet.database().tenant_index("tenant-2"), Some(2));
+            assert_eq!(fleet.database().tenant_index("tenant-9"), None);
+
+            for step in 0..3 {
+                let t = step as f64 * 2.0;
+                let a = solo.update(t).unwrap();
+                let b = fleet.update(t).unwrap();
+                assert_eq!(a, b, "shared diff diverged at t={t}");
+                assert_eq!(solo.host_deltas().len(), shard_plan.map_or(0, |_| 3));
+                for tenant in 0..3 {
+                    let tenant = TenantId(tenant);
+                    assert_eq!(
+                        fleet.programme_delta_for(tenant),
+                        solo.programme_delta(),
+                        "{tenant} delta diverged at t={t}"
+                    );
+                    assert_eq!(
+                        fleet.host_deltas_for(tenant),
+                        solo.host_deltas(),
+                        "{tenant} host deltas diverged at t={t}"
+                    );
+                    assert_eq!(
+                        fleet.network_programme_for(tenant).unwrap(),
+                        solo.network_programme().unwrap()
+                    );
+                }
             }
+            // The `/info` slices carry each tenant's programme size.
+            let reports = fleet.database().tenant_reports();
+            assert_eq!(reports.len(), 3);
+            assert!(reports.iter().all(|r| r.pairs == solo.programme_pair_count()));
         }
-        // The `/info` slices carry each tenant's programme size.
-        let reports = fleet.database().tenant_reports();
-        assert_eq!(reports.len(), 3);
-        assert!(reports.iter().all(|r| r.pairs == solo.programme_pair_count()));
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 3 out of range")]
+    fn programme_delta_for_a_missing_tenant_panics() {
+        fanout(3, None).programme_delta_for(TenantId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 3 out of range")]
+    fn host_deltas_for_a_missing_tenant_panics() {
+        fanout(3, Some(ShardPlan::new(2))).host_deltas_for(TenantId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 3 out of range")]
+    fn network_programme_for_a_missing_tenant_panics() {
+        let mut c = fanout(3, None);
+        c.update(0.0).unwrap();
+        let _ = c.network_programme_for(TenantId(3));
     }
 }

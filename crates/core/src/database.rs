@@ -231,18 +231,24 @@ impl InfoDatabase {
     }
 
     /// Records one tenant's `/info` slice, growing the report vector as
-    /// needed and reusing the retained name buffer in steady state.
+    /// needed (the coordinator seeds every tenant's name this way).
     pub fn update_tenant_report(&mut self, index: usize, name: &str, pairs: usize, delta_ops: usize) {
         if self.tenant_reports.len() <= index {
             self.tenant_reports.resize_with(index + 1, TenantReport::default);
         }
         let report = &mut self.tenant_reports[index];
-        if report.name != name {
-            report.name.clear();
-            report.name.push_str(name);
-        }
+        report.name = name.to_owned();
         report.pairs = pairs;
         report.delta_ops = delta_ops;
+    }
+
+    /// Records the shared programme's size and latest delta operations in
+    /// every tenant's `/info` slice (tenants share one programme).
+    pub fn set_tenant_programmes(&mut self, pairs: usize, delta_ops: usize) {
+        for report in &mut self.tenant_reports {
+            report.pairs = pairs;
+            report.delta_ops = delta_ops;
+        }
     }
 
     /// The per-tenant `/info` slices, indexed by tenant. Empty only for a

@@ -14,10 +14,9 @@
 //! * [`EpochBundle`] is the handover unit: an [`Arc`]-shared immutable
 //!   [`SharedEpoch`] core (epoch time, constellation state, path matrix,
 //!   machine diff, solve stats — computed **once**) plus one [`TenantEpoch`]
-//!   per tenant (programme delta, per-host partition, programme counters)
-//!   fanned out from the same solve. Bundles are recycled between the
-//!   producer and the consumer, so the steady state moves epochs without
-//!   allocating.
+//!   (programme delta, per-host partition, programme counters) that every
+//!   tenant reads. Bundles are recycled between the producer and the
+//!   consumer, so the steady state moves epochs without allocating.
 //! * [`EpochPipeline`] owns the policy: in [`PipelineMode::Synchronous`]
 //!   every epoch is computed inline at the boundary (the seed behaviour); in
 //!   [`PipelineMode::Pipelined`] a background worker thread precomputes the
@@ -38,12 +37,16 @@
 //!
 //! # Multi-tenancy
 //!
-//! One pipeline can drive N independent tenants: [`EpochCompute`] owns one
-//! [`ProgrammeStore`] per tenant ([`EpochCompute::set_tenant_count`]), so
-//! the dominant shared work — propagation, snapshot diff, path solve — runs
-//! once per epoch while the cheap programme walk runs once per tenant. The
-//! tenants=1 case is the degenerate solo testbed and is bit-identical to the
-//! pre-tenant engine. See `docs/TENANTS.md` for the shared/tenant split.
+//! One pipeline can drive N independent tenants
+//! ([`EpochCompute::set_tenant_count`]). Every tenant flies the same
+//! constellation, so the network programme — a function of the path matrix
+//! alone — is the same for all of them: propagation, snapshot diff, path
+//! solve *and* the programme walk run once per epoch, and every tenant reads
+//! the one [`TenantEpoch`] of the bundle. What differs per tenant (machines,
+//! network planes, faults) lives in the testbed, which applies the shared
+//! delta to each tenant's own plane. The tenants=1 case is the degenerate
+//! solo testbed and runs the same code. See `docs/TENANTS.md` for the
+//! shared/tenant split.
 //!
 //! `docs/PIPELINE.md` is the user-facing guide: epoch lifecycle, handover
 //! contract and the `pipeline` configuration key.
@@ -162,20 +165,20 @@ pub struct SharedEpoch {
     pub solve: SolveStats,
     /// The solve scope of this epoch (all zeros for unscoped solves).
     pub scope: ScopeReport,
-    /// Wall-clock nanoseconds the computation took (shared solve plus all
-    /// tenant programme walks).
+    /// Wall-clock nanoseconds the computation took (propagation, solve and
+    /// programme walk).
     pub compute_ns: u64,
     /// When the computation finished (drives the precompute-lead statistic).
     finished_at: Instant,
 }
 
-/// The per-tenant half of one epoch: the network-programme change set the
-/// tenant's own [`ProgrammeStore`] derived from the shared path matrix.
-/// Buffers are recycled epoch-to-epoch via `clone_from`.
+/// The programme half of one epoch: the network-programme change set the
+/// [`ProgrammeStore`] derived from the shared path matrix. One per epoch,
+/// read by every tenant. Buffers are recycled epoch-to-epoch via
+/// `clone_from`.
 #[derive(Debug, Clone, Default)]
 pub struct TenantEpoch {
-    /// The tenant's network-programme change set relative to the previous
-    /// epoch.
+    /// The network-programme change set relative to the previous epoch.
     pub delta: ProgrammeDelta,
     /// The per-host partition of `delta`, indexed by host — empty unless
     /// the computation runs with a [`ShardPlan`] (see `docs/SHARDING.md`).
@@ -185,13 +188,13 @@ pub struct TenantEpoch {
     pub shard_pairs: Vec<usize>,
     /// The programme epoch this change set leads to (1 for the first).
     pub programme_epoch: u64,
-    /// Number of pairs in the tenant's full programme after this epoch.
+    /// Number of pairs in the full programme after this epoch.
     pub programme_pairs: usize,
 }
 
 /// One epoch's complete handover unit: the [`Arc`]-shared immutable core
-/// plus one [`TenantEpoch`] per tenant, produced by [`EpochCompute`] and
-/// recycled between producer and consumer so the steady state allocates
+/// plus the [`TenantEpoch`] every tenant reads, produced by [`EpochCompute`]
+/// and recycled between producer and consumer so the steady state allocates
 /// nothing.
 ///
 /// Bundles handed out by the pipeline always hold the *only* strong
@@ -201,8 +204,10 @@ pub struct TenantEpoch {
 pub struct EpochBundle {
     /// The tenant-shared immutable core of the epoch.
     pub shared: Arc<SharedEpoch>,
-    /// One programme change set per tenant, indexed by [`TenantId`].
-    pub tenants: Vec<TenantEpoch>,
+    /// The programme change set, shared by every tenant.
+    pub programme: TenantEpoch,
+    /// Number of tenants reading `programme` (at least 1).
+    tenant_count: usize,
 }
 
 impl EpochBundle {
@@ -213,22 +218,21 @@ impl EpochBundle {
 
     /// Number of tenants this bundle fans out to (at least 1).
     pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
+        self.tenant_count
     }
 
-    /// The change set of one tenant.
+    /// The change set of one tenant: the shared [`EpochBundle::programme`].
     ///
     /// # Panics
     ///
     /// Panics if `tenant` is out of range.
     pub fn tenant(&self, tenant: TenantId) -> &TenantEpoch {
-        &self.tenants[tenant.index()]
-    }
-
-    /// The first tenant's change set — the whole bundle, for a solo
-    /// (tenants=1) run.
-    pub fn solo(&self) -> &TenantEpoch {
-        &self.tenants[0]
+        assert!(
+            tenant.index() < self.tenant_count,
+            "{tenant} out of range for a {}-tenant bundle",
+            self.tenant_count
+        );
+        &self.programme
     }
 }
 
@@ -242,10 +246,10 @@ pub struct EpochCompute {
     buffers: StateBuffers,
     previous: Option<ConstellationSnapshot>,
     engine: PathEngine,
-    /// One retained programme per tenant (at least one); every store walks
-    /// the same shared path matrix, so N tenants cost N cheap programme
-    /// walks on top of one propagation + solve.
-    tenants: Vec<ProgrammeStore>,
+    /// The retained programme. Tenants share the constellation and hence
+    /// the path matrix, so one walk serves every tenant.
+    store: ProgrammeStore,
+    tenant_count: usize,
     sources: Vec<u32>,
     /// The reusable scale-aware solve scope (see `docs/MEGASCALE.md`): the
     /// solve runs over the margin-expanded bounding box plus per-ground-
@@ -280,7 +284,8 @@ impl EpochCompute {
             buffers,
             previous: None,
             engine,
-            tenants: vec![store],
+            store,
+            tenant_count: 1,
             sources: Vec::new(),
             scope: SolveScope::new(),
             scope_params: ScopeParams::default(),
@@ -296,24 +301,17 @@ impl EpochCompute {
         self.scope_params = params;
     }
 
-    /// The constellation this computation serves.
-    pub fn constellation(&self) -> &Constellation {
-        &self.constellation
-    }
-
     /// Enables host-sharded programme partitioning: every epoch additionally
-    /// emits one [`ProgrammeDelta`] per host, for every tenant. Must be
-    /// called before the first epoch (see
+    /// emits one [`ProgrammeDelta`] per host. Must be called before the
+    /// first epoch (see
     /// [`crate::netprog::ProgrammeStore::set_shard_plan`]).
     pub fn set_shard_plan(&mut self, plan: Option<ShardPlan>) {
-        for store in &mut self.tenants {
-            store.set_shard_plan(plan);
-        }
+        self.store.set_shard_plan(plan);
     }
 
-    /// Fans the programme computation out to `count` tenants: every epoch
-    /// runs the shared propagation + path solve once and one programme walk
-    /// per tenant. The new stores inherit the first tenant's shard plan.
+    /// Fans every epoch out to `count` tenants: propagation, path solve and
+    /// programme walk still run once, and every tenant reads the bundle's
+    /// one [`TenantEpoch`].
     ///
     /// # Panics
     ///
@@ -322,22 +320,15 @@ impl EpochCompute {
     pub fn set_tenant_count(&mut self, count: usize) {
         assert!(count >= 1, "an epoch computation serves at least one tenant");
         assert!(
-            self.tenants[0].epoch() == 0,
+            self.store.epoch() == 0,
             "the tenant count must be fixed before the first epoch"
         );
-        let template = self.tenants[0].clone();
-        self.tenants.resize(count, template);
+        self.tenant_count = count;
     }
 
     /// Number of tenants this computation fans out to (at least 1).
     pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// The first tenant's per-host change sets of the most recent epoch
-    /// (empty without a shard plan).
-    pub fn host_deltas(&self) -> &[ProgrammeDelta] {
-        self.tenants[0].host_deltas()
+        self.tenant_count
     }
 
     /// Runs one epoch at `t_seconds`: batch propagation into the retained
@@ -388,11 +379,7 @@ impl EpochCompute {
         self.scope.derive(state, &bounding_box, &self.scope_params);
         self.engine.solve_scope(state.graph(), &self.scope);
         let paths = self.engine.paths().expect("paths were just solved");
-        // The fan-out: everything above ran once; each tenant's programme
-        // walk reads the same state and path matrix.
-        for store in &mut self.tenants {
-            store.update_epoch(state, paths, &self.sources);
-        }
+        self.store.update_epoch(state, paths, &self.sources);
         Ok(diff)
     }
 
@@ -406,9 +393,9 @@ impl EpochCompute {
         self.engine.paths()
     }
 
-    /// The first tenant's programme delta of the most recent epoch.
+    /// The programme delta of the most recent epoch.
     pub fn delta(&self) -> &ProgrammeDelta {
-        self.tenants[0].delta()
+        self.store.delta()
     }
 
     /// Statistics of the most recent path solve.
@@ -432,16 +419,6 @@ impl EpochCompute {
             landmarks: stats.scope_landmarks,
             settled: stats.scope_settled,
         }
-    }
-
-    /// The current programme epoch (tenants advance in lockstep).
-    pub fn programme_epoch(&self) -> u64 {
-        self.tenants[0].epoch()
-    }
-
-    /// Number of pairs in the first tenant's current full programme.
-    pub fn programme_pairs(&self) -> usize {
-        self.tenants[0].pair_count()
     }
 
     /// Computes one epoch and packages the results into a (possibly
@@ -503,18 +480,18 @@ impl EpochCompute {
                     compute_ns,
                     finished_at: Instant::now(),
                 }),
-                tenants: Vec::new(),
+                programme: TenantEpoch::default(),
+                tenant_count: 0,
             }),
         };
-        bundle.tenants.resize_with(self.tenants.len(), TenantEpoch::default);
-        for (out, store) in bundle.tenants.iter_mut().zip(&self.tenants) {
-            out.delta.clone_from(store.delta());
-            clone_deltas_into(&mut out.host_deltas, store.host_deltas());
-            out.shard_pairs.clear();
-            out.shard_pairs.extend_from_slice(store.shard_pair_counts());
-            out.programme_epoch = store.epoch();
-            out.programme_pairs = store.pair_count();
-        }
+        bundle.tenant_count = self.tenant_count;
+        let out = &mut bundle.programme;
+        out.delta.clone_from(self.store.delta());
+        clone_deltas_into(&mut out.host_deltas, self.store.host_deltas());
+        out.shard_pairs.clear();
+        out.shard_pairs.extend_from_slice(self.store.shard_pair_counts());
+        out.programme_epoch = self.store.epoch();
+        out.programme_pairs = self.store.pair_count();
         Ok(bundle)
     }
 }
@@ -548,7 +525,7 @@ struct WorkerRequest {
 /// assert_eq!(bundle.t_seconds(), 0.0);
 /// pipeline.recycle(bundle);
 /// let bundle = pipeline.advance(2.0).unwrap();
-/// assert_eq!(bundle.solo().programme_epoch, 2);
+/// assert_eq!(bundle.programme.programme_epoch, 2);
 /// assert_eq!(pipeline.stats().precomputed, 1);
 /// # pipeline.recycle(bundle);
 /// ```
@@ -623,11 +600,6 @@ impl EpochPipeline {
     /// The configured mode.
     pub fn mode(&self) -> PipelineMode {
         self.stats.mode
-    }
-
-    /// The epoch cadence used to predict the next boundary.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
     }
 
     /// Runtime statistics (handover wait, precompute lead, mispredictions).
@@ -780,8 +752,8 @@ fn recv_bundle(
 
 /// Composes two consecutive epoch bundles into one, as if the first epoch
 /// had never been observed separately: the final state is the second
-/// bundle's, the change sets — shared machine/link diff and every tenant's
-/// programme delta — are the composition of both.
+/// bundle's, the change sets — machine/link diff and programme delta — are
+/// the composition of both.
 fn compose_bundles(first: Box<EpochBundle>, second: Box<EpochBundle>) -> Box<EpochBundle> {
     let mut bundle = second;
     {
@@ -792,25 +764,22 @@ fn compose_bundles(first: Box<EpochBundle>, second: Box<EpochBundle>) -> Box<Epo
         shared.diff = compose_diffs(&first.shared.diff, &shared.diff);
         shared.compute_ns += first.shared.compute_ns;
     }
-    // Tenant change sets compose pairwise: both bundles come from the same
-    // computation, so the tenant vectors (and each tenant's host vector)
+    // Both bundles come from the same computation, so their host vectors
     // always have the same length.
-    for (out, prior) in bundle.tenants.iter_mut().zip(&first.tenants) {
-        out.delta = compose_deltas(&prior.delta, &out.delta);
-        out.host_deltas = prior
-            .host_deltas
-            .iter()
-            .zip(&out.host_deltas)
-            .map(|(a, b)| compose_deltas(a, b))
-            .collect();
-    }
+    let (out, prior) = (&mut bundle.programme, &first.programme);
+    out.delta = compose_deltas(&prior.delta, &out.delta);
+    out.host_deltas = prior
+        .host_deltas
+        .iter()
+        .zip(&out.host_deltas)
+        .map(|(a, b)| compose_deltas(a, b))
+        .collect();
     bundle
 }
 
 /// Clone-from semantics for a retained vector of per-host deltas: refresh in
-/// place without re-allocating the change-set vectors in steady state. Also
-/// used by the coordinator to retain the bundle's per-host deltas.
-pub(crate) fn clone_deltas_into(dst: &mut Vec<ProgrammeDelta>, src: &[ProgrammeDelta]) {
+/// place without re-allocating the change-set vectors in steady state.
+fn clone_deltas_into(dst: &mut Vec<ProgrammeDelta>, src: &[ProgrammeDelta]) {
     dst.resize_with(src.len(), ProgrammeDelta::default);
     for (d, s) in dst.iter_mut().zip(src) {
         d.clone_from(s);
@@ -1001,6 +970,18 @@ mod tests {
             .unwrap()
     }
 
+    type Programme = BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)>;
+
+    /// Replays one change set onto a full-programme mirror.
+    fn apply(map: &mut Programme, delta: &ProgrammeDelta) {
+        for p in delta.added.iter().chain(&delta.changed) {
+            map.insert((p.a, p.b), (p.latency, p.bandwidth));
+        }
+        for pair in &delta.removed {
+            map.remove(pair);
+        }
+    }
+
     fn program(a: u32, b: u32, ms: f64, mbps: u64) -> PairProgram {
         PairProgram {
             a: NodeId::ground_station(a),
@@ -1025,10 +1006,10 @@ mod tests {
             assert_eq!(a.shared.state, b.shared.state, "state diverged at epoch {epoch}");
             assert_eq!(a.shared.paths, b.shared.paths, "paths diverged at epoch {epoch}");
             assert_eq!(a.shared.diff, b.shared.diff, "diff diverged at epoch {epoch}");
-            assert_eq!(a.solo().delta, b.solo().delta, "delta diverged at epoch {epoch}");
+            assert_eq!(a.programme.delta, b.programme.delta, "delta diverged at epoch {epoch}");
             assert_eq!(a.shared.solve, b.shared.solve, "solve stats diverged at epoch {epoch}");
-            assert_eq!(a.solo().programme_epoch, b.solo().programme_epoch);
-            assert_eq!(a.solo().programme_pairs, b.solo().programme_pairs);
+            assert_eq!(a.programme.programme_epoch, b.programme.programme_epoch);
+            assert_eq!(a.programme.programme_pairs, b.programme.programme_pairs);
             sync.recycle(a);
             pipe.recycle(b);
             t = t + interval;
@@ -1052,26 +1033,17 @@ mod tests {
         let mut sync =
             EpochPipeline::new(EpochCompute::new(constellation()), PipelineMode::Synchronous, interval);
 
-        let mut replayed: BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)> = BTreeMap::new();
-        let mut reference: BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)> = BTreeMap::new();
-        let apply = |map: &mut BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)>,
-                         delta: &ProgrammeDelta| {
-            for p in delta.added.iter().chain(&delta.changed) {
-                map.insert((p.a, p.b), (p.latency, p.bandwidth));
-            }
-            for pair in &delta.removed {
-                map.remove(pair);
-            }
-        };
+        let mut replayed = Programme::new();
+        let mut reference = Programme::new();
 
         for t in [0.0, 2.0, 1.25] {
             let bundle = pipe.advance(t).expect("pipelined epoch");
-            apply(&mut replayed, &bundle.solo().delta);
+            apply(&mut replayed, &bundle.programme.delta);
             pipe.recycle(bundle);
         }
         for t in [0.0, 2.0, 4.0, 1.25] {
             let bundle = sync.advance(t).expect("sync epoch");
-            apply(&mut reference, &bundle.solo().delta);
+            apply(&mut reference, &bundle.programme.delta);
             sync.recycle(bundle);
         }
         assert_eq!(pipe.stats().mispredicted, 1);
@@ -1089,30 +1061,20 @@ mod tests {
         let mut sync =
             EpochPipeline::new(EpochCompute::new(constellation()), PipelineMode::Synchronous, interval);
 
-        let mut replayed: Vec<BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)>> =
-            vec![BTreeMap::new(); 3];
-        let mut reference: BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)> = BTreeMap::new();
-        let apply = |map: &mut BTreeMap<(NodeId, NodeId), (Latency, Bandwidth)>,
-                         delta: &ProgrammeDelta| {
-            for p in delta.added.iter().chain(&delta.changed) {
-                map.insert((p.a, p.b), (p.latency, p.bandwidth));
-            }
-            for pair in &delta.removed {
-                map.remove(pair);
-            }
-        };
+        let mut replayed = vec![Programme::new(); 3];
+        let mut reference = Programme::new();
 
         for t in [0.0, 2.0, 1.25] {
             let bundle = pipe.advance(t).expect("pipelined epoch");
             assert_eq!(bundle.tenant_count(), 3);
-            for (map, tenant) in replayed.iter_mut().zip(&bundle.tenants) {
-                apply(map, &tenant.delta);
+            for (index, map) in replayed.iter_mut().enumerate() {
+                apply(map, &bundle.tenant(TenantId(index as u32)).delta);
             }
             pipe.recycle(bundle);
         }
         for t in [0.0, 2.0, 4.0, 1.25] {
             let bundle = sync.advance(t).expect("sync epoch");
-            apply(&mut reference, &bundle.solo().delta);
+            apply(&mut reference, &bundle.programme.delta);
             sync.recycle(bundle);
         }
         assert_eq!(pipe.stats().mispredicted, 1);
@@ -1136,20 +1098,26 @@ mod tests {
             assert_eq!(b.tenant_count(), 4);
             assert_eq!(a.shared.state, b.shared.state, "shared state diverged at t={t}");
             assert_eq!(a.shared.paths, b.shared.paths, "shared paths diverged at t={t}");
-            for (index, tenant) in b.tenants.iter().enumerate() {
+            for index in 0..4 {
+                let tenant = b.tenant(TenantId(index));
                 assert_eq!(
                     tenant.delta,
-                    a.solo().delta,
+                    a.programme.delta,
                     "tenant {index} delta diverged at t={t}"
                 );
-                assert_eq!(tenant.programme_epoch, a.solo().programme_epoch);
-                assert_eq!(tenant.programme_pairs, a.solo().programme_pairs);
+                assert_eq!(tenant.programme_epoch, a.programme.programme_epoch);
+                assert_eq!(tenant.programme_pairs, a.programme.programme_pairs);
             }
-            assert_eq!(
-                b.tenant(celestial_types::ids::TenantId(2)).delta,
-                b.solo().delta
-            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bundle_tenant_past_the_fleet_panics() {
+        let mut fleet = EpochCompute::new(constellation());
+        fleet.set_tenant_count(4);
+        let bundle = fleet.compute_bundle(0.0, None).expect("fleet epoch");
+        bundle.tenant(TenantId(4));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Steady-state allocation capacity of the multi-tenant fan-out
 //! (`docs/TENANTS.md`): adding tenants to one epoch pipeline must not add
-//! allocation churn. The shared epoch core (propagation buffers, snapshot
-//! diff, path solve) already recycles; the per-tenant lanes (delta buffers,
-//! programme mirrors) must recycle too, so the marginal allocation cost of
-//! a tenant is a small fraction of a solo epoch and per-epoch counts stay
-//! flat as the run ages.
+//! allocation churn. The epoch core (propagation buffers, snapshot diff,
+//! path solve, programme walk) runs once per epoch and recycles, so a
+//! tenant costs no allocations at all and per-epoch counts stay flat as the
+//! run ages.
 //!
 //! The test binary installs a counting global allocator, so everything runs
 //! in ONE `#[test]` — parallel test threads would pollute the counter.
@@ -157,5 +156,22 @@ fn tenant_fanout_does_not_add_steady_state_allocation_churn() {
     assert!(
         marginal <= csolo_2 / 4 + 64,
         "coordinator: marginal per-tenant allocs {marginal}/epoch-window vs solo {csolo_2}"
+    );
+
+    // --- Zero marginal allocations per tenant. ---
+    // Every tenant reads the one shared programme, so a 256-tenant window
+    // costs what a solo window costs, up to the same jitter allowances as
+    // above. A per-tenant walk — or a per-tenant thread fan-out inside one —
+    // would add hundreds of events per epoch here.
+    let (_, wide_2) = pipeline_windows(256);
+    let (_, cwide_2) = coordinator_windows(256);
+    println!("256 tenants allocs/window: pipeline {wide_2}, coordinator {cwide_2}");
+    assert!(
+        wide_2 <= solo_2 + 32,
+        "pipeline: 256 tenants cost {wide_2} allocs/window vs solo {solo_2}"
+    );
+    assert!(
+        cwide_2 <= csolo_2 + 64,
+        "coordinator: 256 tenants cost {cwide_2} allocs/window vs solo {csolo_2}"
     );
 }
