@@ -27,49 +27,63 @@ pub struct FigureOptions {
 }
 
 impl FigureOptions {
-    /// Parses options from the process arguments.
+    /// Parses options from the process arguments; a bad flag exits with a
+    /// message naming it.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_slice(&args)
+        Self::from_slice(&args).unwrap_or_else(|message| fail(&message))
     }
 
     /// Parses options from a slice of argument strings.
-    pub fn from_slice(args: &[String]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when `--seed` or `--out` lacks its
+    /// value or the seed is not an unsigned integer.
+    pub fn from_slice(args: &[String]) -> Result<Self, String> {
         let mut options = FigureOptions {
             quick: false,
             out_dir: None,
             seed: 2022,
         };
-        let mut iter = args.iter().peekable();
+        let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--quick" => options.quick = true,
                 "--out" => {
-                    if let Some(dir) = iter.next() {
-                        options.out_dir = Some(PathBuf::from(dir));
-                    }
+                    let dir = iter.next().ok_or("--out expects a directory")?;
+                    options.out_dir = Some(PathBuf::from(dir));
                 }
                 "--seed" => {
-                    if let Some(seed) = iter.next() {
-                        options.seed = seed.parse().unwrap_or(options.seed);
-                    }
+                    let seed = iter.next().ok_or("--seed expects an unsigned integer")?;
+                    options.seed = seed.parse().map_err(|_| {
+                        format!("--seed expects an unsigned integer, got '{seed}'")
+                    })?;
                 }
                 _ => {}
             }
         }
-        options
+        Ok(options)
     }
 
-    /// Writes an artifact file into the output directory, if one was given.
+    /// Writes an artifact file into the output directory, if one was given;
+    /// a failed write exits with a message naming the path.
     pub fn write_artifact(&self, name: &str, contents: &str) {
         if let Some(dir) = &self.out_dir {
-            let _ = std::fs::create_dir_all(dir);
             let path = dir.join(name);
-            if std::fs::write(&path, contents).is_ok() {
-                println!("# wrote {}", path.display());
+            match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
+                Ok(()) => println!("# wrote {}", path.display()),
+                Err(err) => fail(&format!("cannot write {}: {err}", path.display())),
             }
         }
     }
+}
+
+/// Prints `message` and exits with status 2, so a figure binary given a bad
+/// flag, or unable to write its artifacts, never passes for a good run.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// The testbed configuration of the §4 meetup evaluation: the two lowest
@@ -148,24 +162,37 @@ pub fn csv(points: &[(f64, f64)], x_name: &str, y_name: &str) -> String {
 mod tests {
     use super::*;
 
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| (*a).to_owned()).collect()
+    }
+
     #[test]
     fn options_parse_flags() {
-        let options = FigureOptions::from_slice(&[
-            "--quick".to_owned(),
-            "--seed".to_owned(),
-            "7".to_owned(),
-            "--out".to_owned(),
-            "/tmp/figs".to_owned(),
-        ]);
+        let options =
+            FigureOptions::from_slice(&args(&["--quick", "--seed", "7", "--out", "/tmp/figs"]))
+                .expect("valid flags");
         assert!(options.quick);
         assert_eq!(options.seed, 7);
         assert_eq!(options.out_dir.as_deref(), Some(std::path::Path::new("/tmp/figs")));
     }
 
     #[test]
+    fn bad_flags_are_errors_naming_the_flag() {
+        for (bad, flag) in [
+            (&["--seed", "abc"][..], "--seed"),
+            (&["--seed", "-1"][..], "--seed"),
+            (&["--quick", "--seed"][..], "--seed"),
+            (&["--out"][..], "--out"),
+        ] {
+            let err = FigureOptions::from_slice(&args(bad)).expect_err("bad flags accepted");
+            assert!(err.contains(flag), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
     fn quick_configs_are_smaller() {
-        let quick = FigureOptions::from_slice(&["--quick".to_owned()]);
-        let full = FigureOptions::from_slice(&[]);
+        let quick = FigureOptions::from_slice(&args(&["--quick"])).expect("valid flags");
+        let full = FigureOptions::from_slice(&[]).expect("valid flags");
         let quick_config = meetup_testbed_config(&quick);
         let full_config = meetup_testbed_config(&full);
         assert!(quick_config.duration_s < full_config.duration_s);

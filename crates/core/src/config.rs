@@ -3,17 +3,23 @@
 //! All parameters of a testbed run are passed in a single file (§3.1): the
 //! orbital parameters of every shell, network bandwidths, machine resources,
 //! ground stations, the bounding box, the update interval and the host fleet.
-//! This module defines the strongly typed configuration and its construction
-//! from the TOML subset parsed by [`crate::toml`], plus a builder API for
+//! This module defines the strongly typed configuration, its construction
+//! from the TOML subset parsed by [`crate::toml`] and a builder API for
 //! constructing configurations programmatically.
+//!
+//! Each TOML section is read through one key table: a list of `key →
+//! setter` entries over the section's struct, whose defaults come from the
+//! struct's own constructor. An unknown key or section, a value of the wrong
+//! type or an integer outside its field's range is an error naming the
+//! section, the key and its line. [`TestbedConfig::validate`] is the one
+//! semantic validator for both the TOML reader and the builder.
 
 use crate::pipeline::PipelineMode;
-use crate::toml::{self, TableExt, TomlTable};
+use crate::toml::{self, TomlTable, TomlValue};
 use celestial_constellation::{BoundingBox, GroundStation, PathAlgorithm, ScopeParams, Shell};
 use celestial_sgp4::WalkerShell;
-use celestial_types::constants::DEFAULT_MIN_ELEVATION_DEG;
 use celestial_types::geo::Geodetic;
-use celestial_types::{Bandwidth, Error, MachineResources, Result};
+use celestial_types::{Bandwidth, Error, Result};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one Celestial host.
@@ -202,9 +208,9 @@ impl TenantsConfig {
                 "tenants count must be at least 1 (see docs/TENANTS.md)",
             ));
         }
-        if self.count > 4096 {
+        if self.count > FLEET_CAP {
             return Err(Error::config(format!(
-                "tenants count must be at most 4096, got {} (see docs/TENANTS.md)",
+                "tenants count must be at most {FLEET_CAP}, got {} (see docs/TENANTS.md)",
                 self.count
             )));
         }
@@ -395,9 +401,9 @@ impl ScenarioConfig {
                 "scenario tenants must be at least 1 (see docs/SCENARIOS.md)",
             ));
         }
-        if self.tenants > 4096 {
+        if self.tenants > FLEET_CAP {
             return Err(Error::config(format!(
-                "scenario tenants must be at most 4096, got {} (see docs/SCENARIOS.md)",
+                "scenario tenants must be at most {FLEET_CAP}, got {} (see docs/SCENARIOS.md)",
                 self.tenants
             )));
         }
@@ -628,270 +634,48 @@ impl Default for TestbedConfig {
 impl TestbedConfig {
     /// Parses a configuration from Celestial's TOML format.
     ///
+    /// Every key is looked up in its section's key table: an unknown key or
+    /// section, a value of the wrong type or an integer outside its field's
+    /// range is an error naming the section, the key and its line.
+    ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] on syntax errors, missing required keys or
+    /// Returns [`Error::Config`] on syntax errors, unknown or missing keys or
     /// semantically invalid values.
     pub fn from_toml(input: &str) -> Result<Self> {
         let table = toml::parse(input)?;
-        let mut config = TestbedConfig {
-            seed: table.get_i64("seed")?.unwrap_or(0) as u64,
-            update_interval_s: table.get_f64("update-interval-s")?.unwrap_or(2.0),
-            duration_s: table.get_f64("duration-s")?.unwrap_or(600.0),
-            utilization_sample_interval_s: table
-                .get_f64("utilization-sample-interval-s")?
-                .unwrap_or(1.0),
-            ballooning: table.get_bool("ballooning")?.unwrap_or(false),
-            ..TestbedConfig::default()
-        };
-
-        if let Some(value) = table.get("path-algorithm") {
-            let text = value.as_str();
-            config.path_algorithm = text
-                .and_then(|t| PathAlgorithm::ALL.iter().find(|a| a.name() == t).copied())
-                .ok_or_else(|| {
-                    Error::config(format!(
-                        "unknown path-algorithm {text:?}; expected \"dijkstra\" (see docs/PATHS.md)"
-                    ))
-                })?;
+        let mut config = TOP_LEVEL.read(&table)?;
+        // `shards = N` alone provisions N default hosts; explicit `[[host]]`
+        // tables must agree with it (validated below).
+        if table.get("host").is_none() {
+            config.provision_shard_hosts();
         }
-
-        if let Some(value) = table.get("pipeline") {
-            let text = value.as_str();
-            config.pipeline = text
-                .and_then(|t| PipelineMode::ALL.iter().find(|m| m.name() == t).copied())
-                .ok_or_else(|| {
-                    let expected: Vec<String> = PipelineMode::ALL
-                        .iter()
-                        .map(|m| format!("\"{}\"", m.name()))
-                        .collect();
-                    Error::config(format!(
-                        "unknown pipeline {text:?}; expected one of {} (see docs/PIPELINE.md)",
-                        expected.join(", ")
-                    ))
-                })?;
-        }
-
-        if let Some(shards) = table.get_i64("shards")? {
-            if shards < 1 {
-                return Err(Error::config("shards must be at least 1 (see docs/SHARDING.md)"));
-            }
-            config.shards = Some(shards as u32);
-            // `shards = N` alone provisions N default hosts; explicit
-            // `[[host]]` tables must agree with it (validated below).
-            config.hosts = vec![HostConfig::default(); shards as usize];
-        }
-        if let Some(us) = table.get_i64("host-latency-us")? {
-            if us < 0 {
-                return Err(Error::config("host-latency-us must be non-negative"));
-            }
-            config.host_latency_us = Some(us as u64);
-        }
-
-        if let Some(bbox) = table.get("bounding-box").and_then(|v| v.as_table()) {
-            config.bounding_box = BoundingBox::new(
-                bbox.require_f64("lat-min")?,
-                bbox.require_f64("lat-max")?,
-                bbox.require_f64("lon-min")?,
-                bbox.require_f64("lon-max")?,
-            );
-        }
-
-        if let Some(shells) = table.get("shell").and_then(|v| v.as_table_array()) {
-            for shell in shells {
-                config.shells.push(parse_shell(shell)?);
-            }
-        }
-        if let Some(stations) = table.get("ground-station").and_then(|v| v.as_table_array()) {
-            for gst in stations {
-                config.ground_stations.push(parse_ground_station(gst)?);
-            }
-        }
-        if let Some(chaos) = table.get("chaos").and_then(|v| v.as_table()) {
-            let defaults = ChaosConfig::default();
-            let count = |key: &str, default: u32| -> Result<u32> {
-                match chaos.get_i64(key)? {
-                    Some(n) if n < 0 => {
-                        Err(Error::config(format!("chaos {key} must be non-negative")))
-                    }
-                    Some(n) => Ok(n as u32),
-                    None => Ok(default),
-                }
-            };
-            config.chaos = Some(ChaosConfig {
-                plane_outages: count("plane-outages", defaults.plane_outages)?,
-                plane_outage_mean_s: chaos
-                    .get_f64("plane-outage-mean-s")?
-                    .unwrap_or(defaults.plane_outage_mean_s),
-                solar_storms: count("solar-storms", defaults.solar_storms)?,
-                solar_storm_mean_s: chaos
-                    .get_f64("solar-storm-mean-s")?
-                    .unwrap_or(defaults.solar_storm_mean_s),
-                solar_storm_band_half_width_deg: chaos
-                    .get_f64("solar-storm-band-half-width-deg")?
-                    .unwrap_or(defaults.solar_storm_band_half_width_deg),
-                solar_storm_cpu_share_percent: chaos
-                    .get_i64("solar-storm-cpu-share-percent")?
-                    .map_or(defaults.solar_storm_cpu_share_percent, |p| {
-                        p.clamp(0, 255) as u8
-                    }),
-                region_blackouts: count("region-blackouts", defaults.region_blackouts)?,
-                region_blackout_mean_s: chaos
-                    .get_f64("region-blackout-mean-s")?
-                    .unwrap_or(defaults.region_blackout_mean_s),
-                region_blackout_radius_km: chaos
-                    .get_f64("region-blackout-radius-km")?
-                    .unwrap_or(defaults.region_blackout_radius_km),
-                link_flap_storms: count("link-flap-storms", defaults.link_flap_storms)?,
-                link_flap_mean_s: chaos
-                    .get_f64("link-flap-mean-s")?
-                    .unwrap_or(defaults.link_flap_mean_s),
-                link_flap_period_s: chaos
-                    .get_f64("link-flap-period-s")?
-                    .unwrap_or(defaults.link_flap_period_s),
-            });
-        }
-        if let Some(serve) = table.get("serve").and_then(|v| v.as_table()) {
-            let defaults = ServeConfig::default();
-            let count = |key: &str, default: u32| -> Result<u32> {
-                match serve.get_i64(key)? {
-                    Some(n) if n < 0 => {
-                        Err(Error::config(format!("serve {key} must be non-negative")))
-                    }
-                    Some(n) => Ok(n as u32),
-                    None => Ok(default),
-                }
-            };
-            let port = match serve.get_i64("port")? {
-                Some(p) if !(0..=u16::MAX as i64).contains(&p) => {
-                    return Err(Error::config(format!("serve port must be a valid TCP port, got {p}")));
-                }
-                Some(p) => p as u16,
-                None => defaults.port,
-            };
-            let auth_tokens = match serve.get("auth-tokens") {
-                Some(value) => value
-                    .as_array()
-                    .ok_or_else(|| Error::config("serve auth-tokens must be an array of strings"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_str().map(str::to_owned).ok_or_else(|| {
-                            Error::config("serve auth-tokens must be an array of strings")
-                        })
-                    })
-                    .collect::<Result<Vec<String>>>()?,
-                None => defaults.auth_tokens,
-            };
-            config.serve = Some(ServeConfig {
-                port,
-                workers: count("workers", defaults.workers)?,
-                rate_limit_burst: count("rate-limit-burst", defaults.rate_limit_burst)?,
-                rate_limit_per_epoch: count(
-                    "rate-limit-per-epoch",
-                    defaults.rate_limit_per_epoch,
-                )?,
-                auth_tokens,
-                keep_alive: serve.get_bool("keep-alive")?.unwrap_or(defaults.keep_alive),
-            });
-        }
-        if let Some(paths) = table.get("paths").and_then(|v| v.as_table()) {
-            let defaults = PathsConfig::default();
-            let count = |key: &str, default: u32| -> Result<u32> {
-                match paths.get_i64(key)? {
-                    Some(n) if n < 0 => {
-                        Err(Error::config(format!("paths {key} must be non-negative")))
-                    }
-                    Some(n) => Ok(n as u32),
-                    None => Ok(default),
-                }
-            };
-            config.paths = Some(PathsConfig {
-                scope_margin_deg: paths
-                    .get_f64("scope-margin-deg")?
-                    .unwrap_or(defaults.scope_margin_deg),
-                k_nearest: count("k-nearest", defaults.k_nearest)?,
-                landmarks: count("landmarks", defaults.landmarks)?,
-            });
-        }
-        let tenant_blocks = table.get("tenant").and_then(|v| v.as_table_array());
-        if let Some(tenants) = table.get("tenants").and_then(|v| v.as_table()) {
-            if tenant_blocks.is_some() {
-                return Err(Error::config(
-                    "use either a [tenants] table or [[tenant]] blocks, not both \
-                     (see docs/TENANTS.md)",
-                ));
-            }
-            let defaults = TenantsConfig::default();
-            let count = match tenants.get_i64("count")? {
-                Some(n) if n < 1 => {
-                    return Err(Error::config(
-                        "tenants count must be at least 1 (see docs/TENANTS.md)",
-                    ));
-                }
-                Some(n) => n as u32,
-                None => defaults.count,
-            };
-            let names = match tenants.get("names") {
-                Some(value) => value
-                    .as_array()
-                    .ok_or_else(|| Error::config("tenants names must be an array of strings"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_str().map(str::to_owned).ok_or_else(|| {
-                            Error::config("tenants names must be an array of strings")
-                        })
-                    })
-                    .collect::<Result<Vec<String>>>()?,
-                None => defaults.names,
-            };
-            config.tenants = Some(TenantsConfig { count, names });
-        } else if let Some(blocks) = tenant_blocks {
-            let names = blocks
-                .iter()
-                .map(|t| {
-                    t.get_str("name")?
-                        .map(str::to_owned)
-                        .ok_or_else(|| Error::config("tenant is missing 'name' (see docs/TENANTS.md)"))
-                })
-                .collect::<Result<Vec<String>>>()?;
-            config.tenants = Some(TenantsConfig {
-                count: names.len() as u32,
-                names,
-            });
-        }
-        if let Some(scenario) = table.get("scenario").and_then(|v| v.as_table()) {
-            let defaults = ScenarioConfig::default();
-            let tenants = match scenario.get_i64("tenants")? {
-                Some(n) if n < 1 => {
-                    return Err(Error::config(
-                        "scenario tenants must be at least 1 (see docs/SCENARIOS.md)",
-                    ));
-                }
-                Some(n) => n as u32,
-                None => defaults.tenants,
-            };
-            let mut blocks = Vec::new();
-            if let Some(list) = scenario.get("block").and_then(|v| v.as_table_array()) {
-                for block in list {
-                    blocks.push(parse_scenario_block(block)?);
-                }
-            }
-            config.scenario = Some(ScenarioConfig { tenants, blocks });
-        }
-        if let Some(hosts) = table.get("host").and_then(|v| v.as_table_array()) {
-            config.hosts = hosts
-                .iter()
-                .map(|h| {
-                    Ok(HostConfig {
-                        cores: h.get_i64("cores")?.unwrap_or(32) as u32,
-                        memory_mib: h.get_i64("memory-mib")?.unwrap_or(32 * 1024) as u64,
-                    })
-                })
-                .collect::<Result<_>>()?;
-        }
-
         config.validate()?;
         Ok(config)
+    }
+
+    /// Every key the TOML reader accepts, as `(section, key)` pairs in key
+    /// table order. The section is `top-level` or its header as written
+    /// (`[chaos]`, `[[shell]]`, `[[scenario.block]]`); a key opening a
+    /// nested section (`shell`, `block`) is listed under its parent too.
+    pub fn toml_keys() -> Vec<(&'static str, &'static str)> {
+        [
+            TOP_LEVEL.names(), BOUNDING_BOX.names(), SHELL.names(), GROUND_STATION.names(),
+            HOST.names(), CHAOS.names(), SERVE.names(), PATHS.names(), TENANTS.names(),
+            TENANT.names(), SCENARIO.names(), SCENARIO_BLOCK.names(),
+        ]
+        .concat()
+    }
+
+    /// Provisions one default host per shard unless the fleet already has
+    /// that size. A shard count [`validate`](Self::validate) rejects
+    /// provisions nothing, so no oversized fleet is ever allocated.
+    fn provision_shard_hosts(&mut self) {
+        if let Some(shards) = self.shards {
+            if check_shard_count(shards).is_ok() && self.hosts.len() != shards as usize {
+                self.hosts = vec![HostConfig::default(); shards as usize];
+            }
+        }
     }
 
     /// Validates the configuration.
@@ -915,9 +699,7 @@ impl TestbedConfig {
         }
         self.path_algorithm.ensure_supported()?;
         if let Some(shards) = self.shards {
-            if shards < 1 {
-                return Err(Error::config("shards must be at least 1 (see docs/SHARDING.md)"));
-            }
+            check_shard_count(shards).map_err(|problem| Error::config(format!("shards {problem}")))?;
             if shards as usize != self.hosts.len() {
                 return Err(Error::config(format!(
                     "shards = {shards} but {} hosts are configured; the sharded plane \
@@ -982,106 +764,417 @@ impl TestbedConfig {
     }
 }
 
-fn parse_shell(table: &TomlTable) -> Result<Shell> {
-    let altitude = table.require_f64("altitude-km")?;
-    let inclination = table.require_f64("inclination-deg")?;
-    let planes = table
-        .get_i64("planes")?
-        .ok_or_else(|| Error::config("shell is missing 'planes'"))? as u32;
-    let per_plane = table
-        .get_i64("satellites-per-plane")?
-        .ok_or_else(|| Error::config("shell is missing 'satellites-per-plane'"))?
-        as u32;
-    let mut walker = WalkerShell::new(altitude, inclination, planes, per_plane);
-    if let Some(arc) = table.get_f64("arc-of-ascending-nodes-deg")? {
-        walker = walker.with_arc_of_ascending_nodes(arc);
+/// Shard counts are capped like tenant counts: at most this many.
+const FLEET_CAP: u32 = 4096;
+
+/// The shard-count check, shared by [`TestbedConfig::validate`] and the TOML
+/// reader, which adds the key's line.
+fn check_shard_count(shards: u32) -> std::result::Result<(), String> {
+    if (1..=FLEET_CAP).contains(&shards) {
+        return Ok(());
     }
-    if let Some(phase) = table.get_i64("phase-offset")? {
-        walker = walker.with_phase_offset(phase as u32);
-    }
-    let mut shell = Shell::from_walker(walker);
-    if let Some(bw) = table.get_i64("isl-bandwidth-kbps")? {
-        shell = shell.with_isl_bandwidth(Bandwidth::from_kbps(bw as u64));
-    }
-    if let Some(bw) = table.get_i64("ground-link-bandwidth-kbps")? {
-        shell = shell.with_ground_link_bandwidth(Bandwidth::from_kbps(bw as u64));
-    }
-    shell = shell.with_min_elevation_deg(
-        table
-            .get_f64("min-elevation-deg")?
-            .unwrap_or(DEFAULT_MIN_ELEVATION_DEG),
-    );
-    let vcpus = table.get_i64("vcpus")?.unwrap_or(2) as u32;
-    let memory = table.get_i64("memory-mib")?.unwrap_or(512) as u64;
-    shell = shell.with_resources(MachineResources::new(vcpus, memory));
-    Ok(shell)
+    Err(format!("must be in 1..={FLEET_CAP}, got {shards} (see docs/SHARDING.md)"))
 }
 
-fn parse_scenario_block(table: &TomlTable) -> Result<ScenarioBlock> {
-    let defaults = ScenarioBlock::default();
-    let kind = match table.get_str("kind")? {
-        Some(text) => ScenarioBlockKind::ALL
-            .iter()
-            .find(|k| k.name() == text)
-            .copied()
-            .ok_or_else(|| {
-                let expected: Vec<String> = ScenarioBlockKind::ALL
-                    .iter()
-                    .map(|k| format!("\"{}\"", k.name()))
-                    .collect();
-                Error::config(format!(
-                    "unknown scenario block kind \"{text}\"; expected one of {} \
-                     (see docs/SCENARIOS.md)",
-                    expected.join(", ")
-                ))
-            })?,
-        None => defaults.kind,
-    };
-    let nonneg = |key: &str, default: u64| -> Result<u64> {
-        match table.get_i64(key)? {
-            Some(n) if n < 0 => Err(Error::config(format!(
-                "scenario block {key} must be non-negative"
-            ))),
-            Some(n) => Ok(n as u64),
-            None => Ok(default),
+/// Sets one field of a section from a key's value.
+type Setter<T> = fn(&mut T, &Field<'_>) -> Result<()>;
+
+/// One configuration section: its header as written in TOML, the
+/// constructor its defaults come from, the keys it requires and one setter
+/// per key it accepts.
+struct Section<T: 'static> {
+    name: &'static str,
+    init: fn() -> T,
+    required: &'static [&'static str],
+    keys: &'static [(&'static str, Setter<T>)],
+}
+
+impl<T> Section<T> {
+    /// Reads one table of this section, walking the keys of the input in
+    /// line order so the first error reported is the first in the file.
+    fn read(&self, table: &TomlTable) -> Result<T> {
+        let mut section = (self.init)();
+        let mut entries: Vec<_> = table.entries.iter().collect();
+        entries.sort_by_key(|(_, (line, _))| *line);
+        for (key, (line, value)) in entries {
+            let field = Field { section: self.name, key, line: *line, value };
+            let (_, set) = self.keys.iter().find(|(name, _)| name == key).ok_or_else(|| {
+                let known: Vec<&str> = self.keys.iter().map(|(name, _)| *name).collect();
+                field.error(format!("is unknown; expected one of {}", known.join(", ")))
+            })?;
+            set(&mut section, &field)?;
         }
-    };
-    let station = |key: &str, default: &str| -> Result<String> {
-        Ok(table.get_str(key)?.unwrap_or(default).to_owned())
-    };
-    Ok(ScenarioBlock {
-        kind,
-        name: station("name", &defaults.name)?,
-        population: nonneg("population", defaults.population)?,
-        source: station("source", &defaults.source)?,
-        sink: station("sink", &defaults.sink)?,
-        fallback: station("fallback", &defaults.fallback)?,
-        bitrate_bps: nonneg("bitrate-bps", defaults.bitrate_bps)?,
-        interval_ms: table.get_f64("interval-ms")?.unwrap_or(defaults.interval_ms),
-        hit_ratio: table.get_f64("hit-ratio")?.unwrap_or(defaults.hit_ratio),
-        burst_prob: table.get_f64("burst-prob")?.unwrap_or(defaults.burst_prob),
-        burst_factor: nonneg("burst-factor", u64::from(defaults.burst_factor))? as u32,
-    })
+        match self.required.iter().find(|key| table.get(key).is_none()) {
+            Some(key) => Err(toml::line_error(
+                table.line,
+                format!("{} is missing required key '{key}'", self.name),
+            )),
+            None => Ok(section),
+        }
+    }
+
+    fn names(&self) -> Vec<(&'static str, &'static str)> {
+        self.keys.iter().map(|(key, _)| (self.name, *key)).collect()
+    }
 }
 
-fn parse_ground_station(table: &TomlTable) -> Result<GroundStation> {
-    let name = table
-        .get_str("name")?
-        .ok_or_else(|| Error::config("ground station is missing 'name'"))?;
-    let lat = table.require_f64("lat")?;
-    let lon = table.require_f64("lon")?;
-    let mut gst = GroundStation::new(name, Geodetic::new(lat, lon, 0.0));
-    if let (Some(vcpus), Some(memory)) = (table.get_i64("vcpus")?, table.get_i64("memory-mib")?) {
-        gst = gst.with_resources(MachineResources::new(vcpus as u32, memory as u64));
-    }
-    if let Some(bw) = table.get_i64("bandwidth-kbps")? {
-        gst = gst.with_bandwidth(Bandwidth::from_kbps(bw as u64));
-    }
-    if let Some(elev) = table.get_f64("min-elevation-deg")? {
-        gst = gst.with_min_elevation_deg(elev);
-    }
-    Ok(gst)
+/// A key's value and where it was written, so that every error about it
+/// names the section, the key and the line.
+struct Field<'a> {
+    section: &'static str,
+    key: &'a str,
+    line: usize,
+    value: &'a TomlValue,
 }
+
+impl Field<'_> {
+    fn error(&self, problem: impl std::fmt::Display) -> Error {
+        toml::line_error(self.line, format!("{} key '{}' {problem}", self.section, self.key))
+    }
+
+    fn get<T: FromToml>(&self) -> Result<T> {
+        T::from_field(self)
+    }
+
+    /// Converts the value to the type of `slot` and stores it there.
+    fn store<T: FromToml>(&self, slot: &mut T) -> Result<()> {
+        *slot = self.get()?;
+        Ok(())
+    }
+
+    /// Reads the value as one `[table]` of `section`.
+    fn section<T>(&self, section: &Section<T>) -> Result<T> {
+        match self.value {
+            TomlValue::Table(table) => section.read(table),
+            _ => Err(self.error("must be a table")),
+        }
+    }
+
+    /// Reads the value as `[[tables]]` of `section`.
+    fn sections<T>(&self, section: &Section<T>) -> Result<Vec<T>> {
+        match self.value {
+            TomlValue::TableArray(tables) => tables.iter().map(|t| section.read(t)).collect(),
+            _ => Err(self.error("must be an array of tables")),
+        }
+    }
+}
+
+/// A field type a TOML value converts into: the one place that decides
+/// which TOML values a field accepts.
+trait FromToml: Sized {
+    fn from_field(field: &Field<'_>) -> Result<Self>;
+}
+
+impl FromToml for f64 {
+    fn from_field(field: &Field<'_>) -> Result<Self> {
+        match *field.value {
+            TomlValue::Float(f) => Ok(f),
+            // Integers widen to floats.
+            TomlValue::Integer(i) => Ok(i as f64),
+            _ => Err(field.error("must be a number")),
+        }
+    }
+}
+
+impl FromToml for bool {
+    fn from_field(field: &Field<'_>) -> Result<Self> {
+        match *field.value {
+            TomlValue::Boolean(b) => Ok(b),
+            _ => Err(field.error("must be a boolean")),
+        }
+    }
+}
+
+impl FromToml for String {
+    fn from_field(field: &Field<'_>) -> Result<Self> {
+        match field.value {
+            TomlValue::String(s) => Ok(s.clone()),
+            _ => Err(field.error("must be a string")),
+        }
+    }
+}
+
+impl FromToml for Vec<String> {
+    fn from_field(field: &Field<'_>) -> Result<Self> {
+        let string = |item: &TomlValue| match item {
+            TomlValue::String(s) => Some(s.clone()),
+            _ => None,
+        };
+        let strings = match field.value {
+            TomlValue::Array(items) => items.iter().map(string).collect(),
+            _ => None,
+        };
+        strings.ok_or_else(|| field.error("must be an array of strings"))
+    }
+}
+
+/// Integers convert into the field's own width; a negative or oversized
+/// value is an error quoting it, never a wrapped number.
+macro_rules! unsigned_from_toml {
+    ($($ty:ty),*) => {$(
+        impl FromToml for $ty {
+            fn from_field(field: &Field<'_>) -> Result<Self> {
+                let TomlValue::Integer(value) = *field.value else {
+                    return Err(field.error("must be an integer"));
+                };
+                <$ty>::try_from(value).map_err(|_| {
+                    field.error(format!("must be an integer in 0..={}, got {value}", <$ty>::MAX))
+                })
+            }
+        }
+    )*};
+}
+unsigned_from_toml!(u8, u16, u32, u64);
+
+impl<T: FromToml> FromToml for Option<T> {
+    fn from_field(field: &Field<'_>) -> Result<Self> {
+        field.get().map(Some)
+    }
+}
+
+impl FromToml for Bandwidth {
+    /// Bandwidths are written in kbit/s.
+    fn from_field(field: &Field<'_>) -> Result<Self> {
+        let kbps: u64 = field.get()?;
+        if kbps.checked_mul(1_000).is_none() {
+            let most = u64::MAX / 1_000;
+            return Err(field.error(format!("must be at most {most} kbps, got {kbps}")));
+        }
+        Ok(Bandwidth::from_kbps(kbps))
+    }
+}
+
+/// Enums are written as the name of one of their `ALL` values.
+macro_rules! named_from_toml {
+    ($($ty:ident: $doc:literal),*) => {$(
+        impl FromToml for $ty {
+            fn from_field(field: &Field<'_>) -> Result<Self> {
+                let text: String = field.get()?;
+                let found = $ty::ALL.iter().copied().find(|value| value.name() == text);
+                found.ok_or_else(|| field.error(format!("has unknown value {text:?} (see {})", $doc)))
+            }
+        }
+    )*};
+}
+named_from_toml!(
+    PathAlgorithm: "docs/PATHS.md",
+    PipelineMode: "docs/PIPELINE.md",
+    ScenarioBlockKind: "docs/SCENARIOS.md"
+);
+
+/// A key table entry storing the key's value into one (possibly nested)
+/// field, converted to that field's type.
+macro_rules! field {
+    ($key:literal, $($field:ident).+) => {
+        ($key, |section, value| value.store(&mut section.$($field).+))
+    };
+}
+
+static TOP_LEVEL: Section<TestbedConfig> = Section {
+    name: "top-level",
+    init: TestbedConfig::default,
+    required: &[],
+    keys: &[
+        field!("seed", seed),
+        field!("update-interval-s", update_interval_s),
+        field!("duration-s", duration_s),
+        field!("utilization-sample-interval-s", utilization_sample_interval_s),
+        field!("path-algorithm", path_algorithm),
+        field!("pipeline", pipeline),
+        ("shards", |c, v| {
+            let shards = v.get()?;
+            check_shard_count(shards).map_err(|problem| v.error(problem))?;
+            c.shards = Some(shards);
+            Ok(())
+        }),
+        field!("host-latency-us", host_latency_us),
+        field!("ballooning", ballooning),
+        ("bounding-box", |c, v| {
+            let b = v.section(&BOUNDING_BOX)?;
+            let latitude = -90.0..=90.0;
+            let valid = latitude.contains(&b.lat_min) && latitude.contains(&b.lat_max);
+            if !(valid && b.lat_min <= b.lat_max && b.lon_min.is_finite() && b.lon_max.is_finite()) {
+                return Err(v.error("needs -90 <= lat-min <= lat-max <= 90 and finite longitudes"));
+            }
+            c.bounding_box = BoundingBox::new(b.lat_min, b.lat_max, b.lon_min, b.lon_max);
+            Ok(())
+        }),
+        ("shell", |c, v| v.sections(&SHELL).map(|shells| c.shells = shells)),
+        ("ground-station", |c, v| v.sections(&GROUND_STATION).map(|g| c.ground_stations = g)),
+        ("host", |c, v| v.sections(&HOST).map(|hosts| c.hosts = hosts)),
+        ("chaos", |c, v| v.section(&CHAOS).map(|chaos| c.chaos = Some(chaos))),
+        ("serve", |c, v| v.section(&SERVE).map(|serve| c.serve = Some(serve))),
+        ("paths", |c, v| v.section(&PATHS).map(|paths| c.paths = Some(paths))),
+        ("tenants", |c, v| set_tenants(c, v, v.section(&TENANTS)?)),
+        ("tenant", |c, v| {
+            let names = v.sections(&TENANT)?;
+            let count = u32::try_from(names.len()).unwrap_or(u32::MAX);
+            set_tenants(c, v, TenantsConfig { count, names })
+        }),
+        ("scenario", |c, v| v.section(&SCENARIO).map(|s| c.scenario = Some(s))),
+    ],
+};
+
+/// `[tenants]` and `[[tenant]]` are two spellings of one setting.
+fn set_tenants(config: &mut TestbedConfig, value: &Field<'_>, tenants: TenantsConfig) -> Result<()> {
+    if config.tenants.is_some() {
+        return Err(value.error(
+            "conflicts: use either a [tenants] table or [[tenant]] blocks (see docs/TENANTS.md)",
+        ));
+    }
+    config.tenants = Some(tenants);
+    Ok(())
+}
+
+static BOUNDING_BOX: Section<BoundingBox> = Section {
+    name: "[bounding-box]",
+    init: BoundingBox::whole_earth,
+    required: &["lat-min", "lat-max", "lon-min", "lon-max"],
+    keys: &[
+        field!("lat-min", lat_min),
+        field!("lat-max", lat_max),
+        field!("lon-min", lon_min),
+        field!("lon-max", lon_max),
+    ],
+};
+
+static SHELL: Section<Shell> = Section {
+    name: "[[shell]]",
+    // The four required keys overwrite the zeros.
+    init: || Shell::from_walker(WalkerShell::new(0.0, 0.0, 0, 0)),
+    required: &["altitude-km", "inclination-deg", "planes", "satellites-per-plane"],
+    keys: &[
+        field!("altitude-km", walker.altitude_km),
+        field!("inclination-deg", walker.inclination_deg),
+        field!("planes", walker.planes),
+        field!("satellites-per-plane", walker.satellites_per_plane),
+        field!("arc-of-ascending-nodes-deg", walker.arc_of_ascending_nodes_deg),
+        field!("phase-offset", walker.phase_offset),
+        field!("isl-bandwidth-kbps", isl_bandwidth),
+        field!("ground-link-bandwidth-kbps", ground_link_bandwidth),
+        field!("min-elevation-deg", min_elevation_deg),
+        field!("vcpus", resources.vcpus),
+        field!("memory-mib", resources.memory_mib),
+    ],
+};
+
+static GROUND_STATION: Section<GroundStation> = Section {
+    name: "[[ground-station]]",
+    // The three required keys overwrite the placeholders.
+    init: || GroundStation::new("", Geodetic::new(0.0, 0.0, 0.0)),
+    required: &["name", "lat", "lon"],
+    keys: &[
+        field!("name", name),
+        ("lat", |g, v| {
+            g.position = Geodetic::new(v.get()?, g.position.longitude_deg(), 0.0);
+            Ok(())
+        }),
+        ("lon", |g, v| {
+            g.position = Geodetic::new(g.position.latitude_deg(), v.get()?, 0.0);
+            Ok(())
+        }),
+        field!("vcpus", resources.vcpus),
+        field!("memory-mib", resources.memory_mib),
+        field!("bandwidth-kbps", bandwidth),
+        field!("min-elevation-deg", min_elevation_deg),
+    ],
+};
+
+static HOST: Section<HostConfig> = Section {
+    name: "[[host]]",
+    init: HostConfig::default,
+    required: &[],
+    keys: &[field!("cores", cores), field!("memory-mib", memory_mib)],
+};
+
+static CHAOS: Section<ChaosConfig> = Section {
+    name: "[chaos]",
+    init: ChaosConfig::default,
+    required: &[],
+    keys: &[
+        field!("plane-outages", plane_outages),
+        field!("plane-outage-mean-s", plane_outage_mean_s),
+        field!("solar-storms", solar_storms),
+        field!("solar-storm-mean-s", solar_storm_mean_s),
+        field!("solar-storm-band-half-width-deg", solar_storm_band_half_width_deg),
+        field!("solar-storm-cpu-share-percent", solar_storm_cpu_share_percent),
+        field!("region-blackouts", region_blackouts),
+        field!("region-blackout-mean-s", region_blackout_mean_s),
+        field!("region-blackout-radius-km", region_blackout_radius_km),
+        field!("link-flap-storms", link_flap_storms),
+        field!("link-flap-mean-s", link_flap_mean_s),
+        field!("link-flap-period-s", link_flap_period_s),
+    ],
+};
+
+static SERVE: Section<ServeConfig> = Section {
+    name: "[serve]",
+    init: ServeConfig::default,
+    required: &[],
+    keys: &[
+        field!("port", port),
+        field!("workers", workers),
+        field!("rate-limit-burst", rate_limit_burst),
+        field!("rate-limit-per-epoch", rate_limit_per_epoch),
+        field!("auth-tokens", auth_tokens),
+        field!("keep-alive", keep_alive),
+    ],
+};
+
+static PATHS: Section<PathsConfig> = Section {
+    name: "[paths]",
+    init: PathsConfig::default,
+    required: &[],
+    keys: &[
+        field!("scope-margin-deg", scope_margin_deg),
+        field!("k-nearest", k_nearest),
+        field!("landmarks", landmarks),
+    ],
+};
+
+static TENANTS: Section<TenantsConfig> = Section {
+    name: "[tenants]",
+    init: TenantsConfig::default,
+    required: &[],
+    keys: &[field!("count", count), field!("names", names)],
+};
+
+/// One `[[tenant]]` block: a tenant's name.
+static TENANT: Section<String> = Section {
+    name: "[[tenant]]",
+    init: String::new,
+    required: &["name"],
+    keys: &[("name", |name, value| value.store(name))],
+};
+
+static SCENARIO: Section<ScenarioConfig> = Section {
+    name: "[scenario]",
+    init: ScenarioConfig::default,
+    required: &[],
+    keys: &[
+        field!("tenants", tenants),
+        ("block", |s, v| v.sections(&SCENARIO_BLOCK).map(|blocks| s.blocks = blocks)),
+    ],
+};
+
+static SCENARIO_BLOCK: Section<ScenarioBlock> = Section {
+    name: "[[scenario.block]]",
+    init: ScenarioBlock::default,
+    required: &[],
+    keys: &[
+        field!("kind", kind),
+        field!("name", name),
+        field!("population", population),
+        field!("source", source),
+        field!("sink", sink),
+        field!("fallback", fallback),
+        field!("bitrate-bps", bitrate_bps),
+        field!("interval-ms", interval_ms),
+        field!("hit-ratio", hit_ratio),
+        field!("burst-prob", burst_prob),
+        field!("burst-factor", burst_factor),
+    ],
+};
 
 /// Builder for [`TestbedConfig`].
 #[derive(Debug, Clone, Default)]
@@ -1155,9 +1248,7 @@ impl TestbedConfigBuilder {
     /// the same size is set (see `docs/SHARDING.md`).
     pub fn shards(mut self, shards: u32) -> Self {
         self.config.shards = Some(shards);
-        if self.config.hosts.len() != shards as usize {
-            self.config.hosts = vec![HostConfig::default(); shards as usize];
-        }
+        self.config.provision_shard_hosts();
         self
     }
 
@@ -1306,7 +1397,10 @@ min-elevation-deg = 30.0
     fn missing_shell_fields_are_reported() {
         let bad = "[[shell]]\naltitude-km = 550.0";
         let err = TestbedConfig::from_toml(bad).unwrap_err();
-        assert!(err.to_string().contains("inclination-deg"));
+        assert!(
+            err.to_string().contains("line 1: [[shell]] is missing required key 'inclination-deg'"),
+            "{err}"
+        );
     }
 
     #[test]

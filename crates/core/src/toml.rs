@@ -7,10 +7,13 @@
 //! `[tables]`, `[[arrays of tables]]`, dotted section names one or more
 //! levels deep (`[[scenario.block]]` nests under the `scenario` table,
 //! creating it implicitly if needed), strings, integers, floats, booleans
-//! and flat arrays. Inline tables and dotted *keys* are not supported.
+//! and flat arrays. Inline tables, nested arrays and dotted *keys* are not
+//! supported. Every key and table header keeps its 1-based line, so errors
+//! about the document — here or in `crate::config` — name where it went
+//! wrong.
 
 use celestial_types::{Error, Result};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A parsed TOML value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +26,7 @@ pub enum TomlValue {
     Float(f64),
     /// A boolean.
     Boolean(bool),
-    /// A flat array of values.
+    /// A flat array of scalar values.
     Array(Vec<TomlValue>),
     /// A table of key/value pairs.
     Table(TomlTable),
@@ -31,152 +34,92 @@ pub enum TomlValue {
     TableArray(Vec<TomlTable>),
 }
 
-/// A table: ordered map from keys to values.
-pub type TomlTable = BTreeMap<String, TomlValue>;
+/// A table: its keys, each with the line it was written on, and the line of
+/// the header that opened it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TomlTable {
+    /// 1-based line of the `[header]` that opened the table; 0 for the
+    /// document root.
+    pub line: usize,
+    /// Each key's 1-based line and value. A key holding a table or an array
+    /// of tables carries the line of its first header.
+    pub entries: BTreeMap<String, (usize, TomlValue)>,
+}
 
-impl TomlValue {
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            TomlValue::String(s) => Some(s),
-            _ => None,
-        }
+impl TomlTable {
+    /// The value of `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&TomlValue> {
+        self.entries.get(key).map(|(_, value)| value)
     }
+}
 
-    /// The value as a float; integers are widened.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            TomlValue::Float(f) => Some(*f),
-            TomlValue::Integer(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// The value as an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            TomlValue::Integer(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            TomlValue::Boolean(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a table.
-    pub fn as_table(&self) -> Option<&TomlTable> {
-        match self {
-            TomlValue::Table(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The value as an array of tables.
-    pub fn as_table_array(&self) -> Option<&[TomlTable]> {
-        match self {
-            TomlValue::TableArray(tables) => Some(tables),
-            _ => None,
-        }
-    }
-
-    /// The value as a flat array.
-    pub fn as_array(&self) -> Option<&[TomlValue]> {
-        match self {
-            TomlValue::Array(a) => Some(a),
-            _ => None,
-        }
-    }
+/// A configuration error located at a 1-based input line.
+pub(crate) fn line_error(line: usize, message: impl std::fmt::Display) -> Error {
+    Error::config(format!("line {line}: {message}"))
 }
 
 /// Parses a TOML document into its top-level table.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Config`] describing the offending line on any syntax the
+/// Returns [`Error::Config`] naming the offending line on any syntax the
 /// subset does not support.
 pub fn parse(input: &str) -> Result<TomlTable> {
-    let mut root: TomlTable = BTreeMap::new();
-    // Path of the table currently being filled: None = root, otherwise the
-    // dot-separated section path and whether it is an array-of-tables
-    // element.
-    let mut current_section: Option<(Vec<String>, bool)> = None;
+    let mut root = TomlTable::default();
+    // Path of the table currently being filled; empty for the root.
+    let mut current: Vec<String> = Vec::new();
     // Explicit `[name]` headers already seen, to reject duplicates while
     // still allowing tables created implicitly by dotted children.
-    let mut declared: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    let mut declared: BTreeSet<String> = BTreeSet::new();
 
-    for (line_no, raw_line) in input.lines().enumerate() {
+    for (index, raw_line) in input.lines().enumerate() {
+        let line_no = index + 1;
         let line = strip_comment(raw_line).trim();
         if line.is_empty() {
             continue;
         }
-        if let Some(name) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
+        let header = (line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")).map(|n| (n, true)))
+            .or_else(|| line.strip_prefix('[').and_then(|l| l.strip_suffix(']')).map(|n| (n, false)));
+        if let Some((name, array)) = header {
             let name = name.trim();
             let path = section_path(name, line_no)?;
-            let parent = open_parent(&mut root, &path, line_no)?;
-            let last = path.last().expect("section paths are non-empty");
-            match parent
-                .entry(last.clone())
-                .or_insert_with(|| TomlValue::TableArray(Vec::new()))
-            {
-                TomlValue::TableArray(tables) => tables.push(BTreeMap::new()),
-                _ => {
-                    return Err(Error::config(format!(
-                        "line {}: '{name}' is already defined as a non-array table",
-                        line_no + 1
-                    )))
+            if !array && !declared.insert(path.join(".")) {
+                return Err(line_error(line_no, format!("table '{name}' defined twice")));
+            }
+            let (last, parents) = path.split_last().expect("section paths are non-empty");
+            let table = TomlTable { line: line_no, ..TomlTable::default() };
+            let fresh = if array {
+                TomlValue::TableArray(Vec::new())
+            } else {
+                TomlValue::Table(table.clone())
+            };
+            let parent = open(&mut root, parents, line_no)?;
+            match (&mut parent.entries.entry(last.clone()).or_insert((line_no, fresh)).1, array) {
+                (TomlValue::TableArray(tables), true) => tables.push(table),
+                // A table created implicitly by a dotted child takes the
+                // line of its explicit header.
+                (TomlValue::Table(existing), false) => existing.line = line_no,
+                (_, true) => {
+                    return Err(line_error(line_no, format!("'{name}' is already a non-array table")))
+                }
+                (_, false) => {
+                    return Err(line_error(line_no, format!("'{name}' is already an array of tables")))
                 }
             }
-            current_section = Some((path, true));
-        } else if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            let name = name.trim();
-            let path = section_path(name, line_no)?;
-            if !declared.insert(path.join(".")) {
-                return Err(Error::config(format!(
-                    "line {}: table '{name}' defined twice",
-                    line_no + 1
-                )));
-            }
-            let parent = open_parent(&mut root, &path, line_no)?;
-            let last = path.last().expect("section paths are non-empty");
-            match parent
-                .entry(last.clone())
-                .or_insert_with(|| TomlValue::Table(BTreeMap::new()))
-            {
-                TomlValue::Table(_) => {}
-                _ => {
-                    return Err(Error::config(format!(
-                        "line {}: '{name}' is already defined as an array of tables",
-                        line_no + 1
-                    )))
-                }
-            }
-            current_section = Some((path, false));
+            current = path;
         } else if let Some((key, value)) = line.split_once('=') {
             let key = key.trim().to_owned();
             if key.is_empty() {
-                return Err(Error::config(format!("line {}: empty key", line_no + 1)));
+                return Err(line_error(line_no, "empty key"));
             }
-            let value = parse_value(value.trim(), line_no)?;
-            let target: &mut TomlTable = match &current_section {
-                None => &mut root,
-                Some((path, _)) => open_section(&mut root, path),
-            };
-            if target.insert(key.clone(), value).is_some() {
-                return Err(Error::config(format!(
-                    "line {}: duplicate key '{key}'",
-                    line_no + 1
-                )));
+            let value = parse_value(value.trim())
+                .map_err(|problem| line_error(line_no, format!("key '{key}' {problem}")))?;
+            let target = open(&mut root, &current, line_no)?;
+            if target.entries.insert(key.clone(), (line_no, value)).is_some() {
+                return Err(line_error(line_no, format!("duplicate key '{key}'")));
             }
         } else {
-            return Err(Error::config(format!(
-                "line {}: cannot parse '{line}'",
-                line_no + 1
-            )));
+            return Err(line_error(line_no, format!("cannot parse '{line}'")));
         }
     }
     Ok(root)
@@ -190,58 +133,30 @@ fn section_path(name: &str, line_no: usize) -> Result<Vec<String>> {
             .iter()
             .any(|s| s.is_empty() || s.contains('[') || s.contains(']'))
     {
-        return Err(Error::config(format!(
-            "line {}: unsupported section name '{name}'",
-            line_no + 1
-        )));
+        return Err(line_error(line_no, format!("unsupported section name '{name}'")));
     }
     Ok(segments)
 }
 
-/// Returns the table the section's *parent* path names, creating
-/// intermediate tables implicitly (so `[[scenario.block]]` may appear before
-/// any `[scenario]` header). Intermediate array-of-tables segments resolve to
-/// their most recent element, as in standard TOML.
-fn open_parent<'a>(
-    root: &'a mut TomlTable,
-    path: &[String],
-    line_no: usize,
-) -> Result<&'a mut TomlTable> {
+/// Returns the table `path` names, creating missing tables implicitly (so
+/// `[[scenario.block]]` may appear before any `[scenario]` header). Array of
+/// tables segments resolve to their most recent element, as in standard
+/// TOML.
+fn open<'a>(root: &'a mut TomlTable, path: &[String], line_no: usize) -> Result<&'a mut TomlTable> {
     let mut table = root;
-    for segment in &path[..path.len() - 1] {
-        let value = table
-            .entry(segment.clone())
-            .or_insert_with(|| TomlValue::Table(BTreeMap::new()));
+    for segment in path {
+        let implicit = TomlTable { line: line_no, ..TomlTable::default() };
+        let (_, value) =
+            table.entries.entry(segment.clone()).or_insert((line_no, TomlValue::Table(implicit)));
         table = match value {
             TomlValue::Table(t) => t,
             TomlValue::TableArray(tables) => {
                 tables.last_mut().expect("array headers always push an element")
             }
-            _ => {
-                return Err(Error::config(format!(
-                    "line {}: '{segment}' is not a table",
-                    line_no + 1
-                )))
-            }
+            _ => return Err(line_error(line_no, format!("'{segment}' is not a table"))),
         };
     }
     Ok(table)
-}
-
-/// Navigates to the table the current section header selected (the most
-/// recent element when a path segment is an array of tables).
-fn open_section<'a>(root: &'a mut TomlTable, path: &[String]) -> &'a mut TomlTable {
-    let mut table = root;
-    for segment in path {
-        table = match table.get_mut(segment).expect("section header inserted the path") {
-            TomlValue::Table(t) => t,
-            TomlValue::TableArray(tables) => {
-                tables.last_mut().expect("section header pushed a table")
-            }
-            _ => unreachable!("section bookkeeping is consistent"),
-        };
-    }
-    table
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -257,24 +172,43 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_value(text: &str, line_no: usize) -> Result<TomlValue> {
-    let text = text.trim();
+/// Parses a value: a scalar, or a flat array of scalars. Errors describe
+/// the problem for the caller to attach to the key and line.
+fn parse_value(text: &str) -> std::result::Result<TomlValue, String> {
+    let Some(rest) = text.strip_prefix('[') else {
+        return parse_scalar(text);
+    };
+    let inner = rest.strip_suffix(']').ok_or("has an unterminated array")?.trim();
+    if inner.is_empty() {
+        return Ok(TomlValue::Array(Vec::new()));
+    }
+    // Items split at commas outside strings; one trailing comma is allowed.
+    let mut in_string = false;
+    inner
+        .strip_suffix(',')
+        .unwrap_or(inner)
+        .split(|c| {
+            if c == '"' {
+                in_string = !in_string;
+            }
+            c == ',' && !in_string
+        })
+        .map(|item| parse_scalar(item.trim()))
+        .collect::<std::result::Result<_, _>>()
+        .map(TomlValue::Array)
+}
+
+fn parse_scalar(text: &str) -> std::result::Result<TomlValue, String> {
     if text.is_empty() {
-        return Err(Error::config(format!("line {}: missing value", line_no + 1)));
+        return Err("is missing a value".into());
+    }
+    if text.starts_with('[') {
+        return Err("holds a nested array; arrays are flat".into());
     }
     if let Some(stripped) = text.strip_prefix('"') {
-        let Some(end) = stripped.find('"') else {
-            return Err(Error::config(format!(
-                "line {}: unterminated string",
-                line_no + 1
-            )));
-        };
-        let rest = stripped[end + 1..].trim();
-        if !rest.is_empty() {
-            return Err(Error::config(format!(
-                "line {}: trailing characters after string",
-                line_no + 1
-            )));
+        let end = stripped.find('"').ok_or("has an unterminated string")?;
+        if !stripped[end + 1..].trim().is_empty() {
+            return Err("has trailing characters after a string".into());
         }
         return Ok(TomlValue::String(stripped[..end].to_owned()));
     }
@@ -284,17 +218,6 @@ fn parse_value(text: &str, line_no: usize) -> Result<TomlValue> {
     if text == "false" {
         return Ok(TomlValue::Boolean(false));
     }
-    if let Some(inner) = text.strip_prefix('[').and_then(|t| t.strip_suffix(']')) {
-        let inner = inner.trim();
-        if inner.is_empty() {
-            return Ok(TomlValue::Array(Vec::new()));
-        }
-        let items = split_array_items(inner)
-            .into_iter()
-            .map(|item| parse_value(item.trim(), line_no))
-            .collect::<Result<Vec<_>>>()?;
-        return Ok(TomlValue::Array(items));
-    }
     // Numbers: prefer integer when there is no decimal point or exponent.
     let numeric = text.replace('_', "");
     if !numeric.contains('.') && !numeric.contains(['e', 'E']) {
@@ -302,96 +225,44 @@ fn parse_value(text: &str, line_no: usize) -> Result<TomlValue> {
             return Ok(TomlValue::Integer(i));
         }
     }
-    if let Ok(f) = numeric.parse::<f64>() {
-        return Ok(TomlValue::Float(f));
-    }
-    Err(Error::config(format!(
-        "line {}: cannot parse value '{text}'",
-        line_no + 1
-    )))
-}
-
-fn split_array_items(inner: &str) -> Vec<&str> {
-    let mut items = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut start = 0usize;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '[' if !in_string => depth += 1,
-            ']' if !in_string => depth = depth.saturating_sub(1),
-            ',' if !in_string && depth == 0 => {
-                items.push(&inner[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < inner.len() {
-        items.push(&inner[start..]);
-    }
-    items
-}
-
-/// Typed accessors over a parsed table. An absent key is `None`; a key
-/// that is present with the wrong type is an error naming the key, never a
-/// silent default.
-pub trait TableExt {
-    /// A required float value (integers widen).
-    fn require_f64(&self, key: &str) -> Result<f64>;
-    /// An optional float value (integers widen).
-    fn get_f64(&self, key: &str) -> Result<Option<f64>>;
-    /// An optional integer value.
-    fn get_i64(&self, key: &str) -> Result<Option<i64>>;
-    /// An optional string value.
-    fn get_str(&self, key: &str) -> Result<Option<&str>>;
-    /// An optional boolean value.
-    fn get_bool(&self, key: &str) -> Result<Option<bool>>;
-}
-
-/// Converts the value of `key`, if present, failing when it has another
-/// type than `expected`.
-fn typed<'a, T>(
-    table: &'a TomlTable,
-    key: &str,
-    expected: &str,
-    convert: impl FnOnce(&'a TomlValue) -> Option<T>,
-) -> Result<Option<T>> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(value) => convert(value)
-            .map(Some)
-            .ok_or_else(|| Error::config(format!("key '{key}' must be {expected}"))),
-    }
-}
-
-impl TableExt for TomlTable {
-    fn require_f64(&self, key: &str) -> Result<f64> {
-        self.get_f64(key)?
-            .ok_or_else(|| Error::config(format!("missing key '{key}'")))
-    }
-
-    fn get_f64(&self, key: &str) -> Result<Option<f64>> {
-        typed(self, key, "a number", TomlValue::as_f64)
-    }
-
-    fn get_i64(&self, key: &str) -> Result<Option<i64>> {
-        typed(self, key, "an integer", TomlValue::as_i64)
-    }
-
-    fn get_str(&self, key: &str) -> Result<Option<&str>> {
-        typed(self, key, "a string", TomlValue::as_str)
-    }
-
-    fn get_bool(&self, key: &str) -> Result<Option<bool>> {
-        typed(self, key, "a boolean", TomlValue::as_bool)
-    }
+    numeric
+        .parse::<f64>()
+        .map(TomlValue::Float)
+        .map_err(|_| format!("has an unparseable value '{text}'"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn value<'a>(table: &'a TomlTable, key: &str) -> &'a TomlValue {
+        table.get(key).unwrap_or_else(|| panic!("key '{key}' present"))
+    }
+
+    fn table<'a>(parent: &'a TomlTable, key: &str) -> &'a TomlTable {
+        match value(parent, key) {
+            TomlValue::Table(table) => table,
+            other => panic!("'{key}' is not a table: {other:?}"),
+        }
+    }
+
+    fn tables<'a>(parent: &'a TomlTable, key: &str) -> &'a [TomlTable] {
+        match value(parent, key) {
+            TomlValue::TableArray(tables) => tables,
+            other => panic!("'{key}' is not an array of tables: {other:?}"),
+        }
+    }
+
+    fn array<'a>(parent: &'a TomlTable, key: &str) -> &'a [TomlValue] {
+        match value(parent, key) {
+            TomlValue::Array(items) => items,
+            other => panic!("'{key}' is not an array: {other:?}"),
+        }
+    }
+
+    fn string(s: &str) -> TomlValue {
+        TomlValue::String(s.to_owned())
+    }
 
     #[test]
     fn parses_scalars_tables_and_table_arrays() {
@@ -414,28 +285,59 @@ planes = 72
 altitude-km = 1110.0
 planes = 32
 "#;
-        let table = parse(doc).expect("valid document");
-        assert_eq!(table.get_i64("seed").unwrap(), Some(42));
-        assert_eq!(table.get_f64("update-interval-s").unwrap(), Some(2.5));
-        assert_eq!(table.get_str("name").unwrap(), Some("starlink meetup"));
-        assert_eq!(table.get_bool("animate").unwrap(), Some(false));
-        let bbox = table["bounding-box"].as_table().expect("table");
-        assert_eq!(bbox.get_f64("lat-min").unwrap(), Some(-5.0));
-        assert_eq!(bbox.get_f64("lat-max").unwrap(), Some(25.0));
-        let shells = table["shell"].as_table_array().expect("table array");
+        let doc = parse(doc).expect("valid document");
+        assert_eq!(value(&doc, "seed"), &TomlValue::Integer(42));
+        assert_eq!(value(&doc, "update-interval-s"), &TomlValue::Float(2.5));
+        assert_eq!(value(&doc, "name"), &string("starlink meetup"));
+        assert_eq!(value(&doc, "animate"), &TomlValue::Boolean(false));
+        let bbox = table(&doc, "bounding-box");
+        assert_eq!(value(bbox, "lat-min"), &TomlValue::Float(-5.0));
+        assert_eq!(value(bbox, "lat-max"), &TomlValue::Integer(25));
+        let shells = tables(&doc, "shell");
         assert_eq!(shells.len(), 2);
-        assert_eq!(shells[1].get_f64("altitude-km").unwrap(), Some(1110.0));
+        assert_eq!(value(&shells[1], "altitude-km"), &TomlValue::Float(1110.0));
+    }
+
+    #[test]
+    fn records_the_line_of_every_key_and_header() {
+        let doc = "seed = 1\n\n[[shell]]\nplanes = 2\n[[shell]]\n\nplanes = 3\n[chaos]\n";
+        let doc = parse(doc).expect("valid document");
+        assert_eq!(doc.line, 0);
+        assert_eq!(doc.entries["seed"].0, 1);
+        assert_eq!(doc.entries["shell"].0, 3, "an array of tables keeps its first header");
+        let shells = tables(&doc, "shell");
+        assert_eq!((shells[0].line, shells[0].entries["planes"].0), (3, 4));
+        assert_eq!((shells[1].line, shells[1].entries["planes"].0), (5, 7));
+        assert_eq!(table(&doc, "chaos").line, 8);
+        // A table created implicitly by a dotted child takes the line of its
+        // later explicit header.
+        let doc = parse("[[scenario.block]]\nkind = \"cbr\"\n[scenario]\n").unwrap();
+        assert_eq!(table(&doc, "scenario").line, 3);
     }
 
     #[test]
     fn parses_arrays() {
-        let table = parse("ports = [1, 2, 3]\nnames = [\"a\", \"b\"]\nempty = []").unwrap();
-        let ports = table["ports"].as_array().unwrap();
+        let doc = parse("ports = [1, 2, 3]\nnames = [\"a\", \"b,c\",]\nempty = []").unwrap();
+        let ports = array(&doc, "ports");
         assert_eq!(ports.len(), 3);
-        assert_eq!(ports[2].as_i64(), Some(3));
-        let names = table["names"].as_array().unwrap();
-        assert_eq!(names[1].as_str(), Some("b"));
-        assert!(table["empty"].as_array().unwrap().is_empty());
+        assert_eq!(ports[2], TomlValue::Integer(3));
+        let names = array(&doc, "names");
+        assert_eq!(names.len(), 2, "one trailing comma is allowed");
+        assert_eq!(names[1], string("b,c"));
+        assert!(array(&doc, "empty").is_empty());
+    }
+
+    #[test]
+    fn nested_arrays_are_rejected_with_their_line() {
+        for doc in ["a = 1\nx = [[1], [2]]", "a = 1\nx = [1, [2]]", "a = 1\nx = [1, 2"] {
+            let err = parse(doc).unwrap_err().to_string();
+            assert!(err.contains("line 2: key 'x'"), "{doc:?}: {err}");
+        }
+        // Deep nesting is an error, not a stack overflow.
+        for deep in ["[".repeat(100_000), format!("{}{}", "[".repeat(100_000), "]".repeat(100_000))] {
+            let err = parse(&format!("x = {deep}")).unwrap_err().to_string();
+            assert!(err.contains("line 1: key 'x'"), "{err}");
+        }
     }
 
     #[test]
@@ -467,14 +369,14 @@ population = 100
 [[scenario.block]]
 kind = "iot"
 "#;
-        let table = parse(doc).expect("valid document");
-        let scenario = table["scenario"].as_table().expect("table");
-        assert_eq!(scenario.get_i64("tenants").unwrap(), Some(4));
-        let blocks = scenario["block"].as_table_array().expect("table array");
+        let doc = parse(doc).expect("valid document");
+        let scenario = table(&doc, "scenario");
+        assert_eq!(value(scenario, "tenants"), &TomlValue::Integer(4));
+        let blocks = tables(scenario, "block");
         assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].get_str("kind").unwrap(), Some("cbr"));
-        assert_eq!(blocks[0].get_i64("population").unwrap(), Some(100));
-        assert_eq!(blocks[1].get_str("kind").unwrap(), Some("iot"));
+        assert_eq!(value(&blocks[0], "kind"), &string("cbr"));
+        assert_eq!(value(&blocks[0], "population"), &TomlValue::Integer(100));
+        assert_eq!(value(&blocks[1], "kind"), &string("iot"));
     }
 
     #[test]
@@ -482,10 +384,10 @@ kind = "iot"
         // The child appears before any [scenario] header; the parent table is
         // created implicitly and a later explicit header fills the same table.
         let doc = "[[scenario.block]]\nkind = \"cbr\"\n\n[scenario]\ntenants = 2\n";
-        let table = parse(doc).expect("valid document");
-        let scenario = table["scenario"].as_table().expect("table");
-        assert_eq!(scenario.get_i64("tenants").unwrap(), Some(2));
-        assert_eq!(scenario["block"].as_table_array().unwrap().len(), 1);
+        let doc = parse(doc).expect("valid document");
+        let scenario = table(&doc, "scenario");
+        assert_eq!(value(scenario, "tenants"), &TomlValue::Integer(2));
+        assert_eq!(tables(scenario, "block").len(), 1);
         // Duplicate explicit headers are still rejected.
         assert!(parse("[a.b]\nx = 1\n[a.b]\ny = 2").is_err());
         // A dotted child under a scalar is rejected.
@@ -501,23 +403,14 @@ kind = "iot"
 
     #[test]
     fn comments_and_hash_in_strings() {
-        let table = parse("name = \"value # not a comment\" # real comment").unwrap();
-        assert_eq!(table.get_str("name").unwrap(), Some("value # not a comment"));
+        let doc = parse("name = \"value # not a comment\" # real comment").unwrap();
+        assert_eq!(value(&doc, "name"), &string("value # not a comment"));
     }
 
     #[test]
     fn integers_with_underscores_and_floats_with_exponent() {
-        let table = parse("big = 1_000_000\nsmall = 1.5e-3").unwrap();
-        assert_eq!(table.get_i64("big").unwrap(), Some(1_000_000));
-        assert!((table.get_f64("small").unwrap().unwrap() - 0.0015).abs() < 1e-12);
+        let doc = parse("big = 1_000_000\nsmall = 1.5e-3").unwrap();
+        assert_eq!(value(&doc, "big"), &TomlValue::Integer(1_000_000));
+        assert_eq!(value(&doc, "small"), &TomlValue::Float(1.5e-3));
     }
-
-    #[test]
-    fn require_f64_reports_missing_keys() {
-        let table = parse("x = 1").unwrap();
-        assert!(table.require_f64("x").is_ok());
-        let err = table.require_f64("y").unwrap_err();
-        assert!(err.to_string().contains("'y'"));
-    }
-
 }

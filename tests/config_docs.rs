@@ -1,13 +1,15 @@
 //! Smoke tests tying the documented configuration format to the code: the
 //! TOML example embedded in `docs/CONFIG.md` must parse, produce the §4
-//! testbed shape, and survive a serde round trip; the `[chaos]` defaults
-//! documented in `docs/CHAOS.md` must match `ChaosConfig::default()`.
+//! testbed shape, and survive a serde round trip; the defaults each
+//! section's page documents must match the code; and the key tables of
+//! `docs/CONFIG.md` must list exactly the keys the reader accepts.
 
 use celestial::config::{
     ChaosConfig, PathsConfig, ScenarioBlock, ScenarioConfig, ServeConfig, TenantsConfig,
     TestbedConfig,
 };
 use celestial_constellation::PathAlgorithm;
+use std::collections::BTreeSet;
 
 /// The documentation page this test validates.
 const CONFIG_DOC: &str = include_str!("../docs/CONFIG.md");
@@ -209,4 +211,97 @@ fn defaults_listed_in_the_documentation_hold() {
         shell.isl_bandwidth,
         celestial_types::Bandwidth::from_gbps(10)
     );
+}
+
+/// The backticked spans of `text`.
+fn backticked(text: &str) -> impl Iterator<Item = &str> {
+    text.split('`').skip(1).step_by(2)
+}
+
+/// The `(section, key)` rows of the key tables in `docs/CONFIG.md`, and
+/// the sections its headings document. A heading names its section in
+/// backticks (`[chaos]`), or is the "Top-level keys" heading; a row's
+/// first cell holds one or more backticked keys.
+fn documented_keys() -> (BTreeSet<(String, String)>, BTreeSet<String>) {
+    let mut rows = BTreeSet::new();
+    let mut headings = BTreeSet::new();
+    let mut section: Option<String> = None;
+    for line in CONFIG_DOC.lines() {
+        if line.starts_with('#') {
+            section = if line.contains("Top-level keys") {
+                Some("top-level".to_owned())
+            } else {
+                backticked(line).next().map(str::to_owned)
+            };
+            headings.extend(section.clone());
+        } else if line.starts_with("| `") {
+            let section = section.clone().expect("key rows sit under a section heading");
+            let cell = line.split('|').nth(1).expect("a first cell");
+            rows.extend(backticked(cell).map(|key| (section.clone(), key.to_owned())));
+        }
+    }
+    (rows, headings)
+}
+
+/// The keys of the `[[scenario.block]]` in the `docs/SCENARIOS.md` example.
+fn documented_block_keys() -> BTreeSet<String> {
+    let start = SCENARIOS_DOC.find("```toml\n").expect("a toml example");
+    let example = &SCENARIOS_DOC[start..];
+    let example = &example[..example[3..].find("```").expect("closed fence")];
+    let block = &example[example.find("[[scenario.block]]").expect("a block")..];
+    block
+        .lines()
+        .filter_map(|line| line.split_once('='))
+        .map(|(key, _)| key.trim().to_owned())
+        .collect()
+}
+
+#[test]
+fn the_documented_key_tables_match_the_code() {
+    let keys = TestbedConfig::toml_keys();
+    let (rows, headings) = documented_keys();
+    let block_keys = documented_block_keys();
+    let sections: BTreeSet<&str> = keys.iter().map(|(section, _)| *section).collect();
+    // A key opening a nested section, e.g. `shell` at the top level or
+    // `block` in `[scenario]`, is documented by that section's heading.
+    let nested = |section: &str, key: &str| {
+        let parent = section.trim_matches(['[', ']']);
+        let path = if section == "top-level" { key.to_owned() } else { format!("{parent}.{key}") };
+        sections
+            .iter()
+            .find(|s| s.trim_matches(['[', ']']) == path)
+            .map(|s| s.to_string())
+    };
+    for (section, key) in &keys {
+        match (nested(section, key), *section) {
+            (Some(child), _) if child == "[[scenario.block]]" => {
+                assert!(!block_keys.is_empty(), "docs/SCENARIOS.md shows no block")
+            }
+            (Some(child), _) => {
+                assert!(headings.contains(&child), "docs/CONFIG.md has no {child} heading")
+            }
+            (None, "[[scenario.block]]") => assert!(
+                block_keys.contains(*key),
+                "the docs/SCENARIOS.md example lacks block key '{key}'"
+            ),
+            (None, _) => assert!(
+                rows.contains(&(section.to_string(), key.to_string())),
+                "docs/CONFIG.md documents no {section} key '{key}'"
+            ),
+        }
+    }
+    let accepted: BTreeSet<(String, String)> =
+        keys.iter().map(|(s, k)| (s.to_string(), k.to_string())).collect();
+    for row in &rows {
+        assert!(accepted.contains(row), "docs/CONFIG.md documents unknown {} key '{}'", row.0, row.1);
+    }
+    for heading in &headings {
+        assert!(sections.contains(heading.as_str()), "docs/CONFIG.md documents unknown {heading}");
+    }
+    for key in &block_keys {
+        assert!(
+            accepted.contains(&("[[scenario.block]]".to_owned(), key.clone())),
+            "docs/SCENARIOS.md shows unknown block key '{key}'"
+        );
+    }
 }

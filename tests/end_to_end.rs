@@ -13,67 +13,9 @@ use celestial_types::geo::Geodetic;
 use celestial_types::ids::NodeId;
 use celestial_types::time::SimDuration;
 
-const FULL_CONFIG_TOML: &str = r#"
-seed = 2022
-update-interval-s = 2.0
-duration-s = 45.0
-path-algorithm = "dijkstra"
-
-[bounding-box]
-lat-min = -5.0
-lat-max = 20.0
-lon-min = -10.0
-lon-max = 20.0
-
-[[host]]
-cores = 32
-memory-mib = 32768
-
-[[host]]
-cores = 32
-memory-mib = 32768
-
-[[host]]
-cores = 32
-memory-mib = 32768
-
-[[shell]]
-altitude-km = 550.0
-inclination-deg = 53.0
-planes = 72
-satellites-per-plane = 22
-phase-offset = 17
-vcpus = 2
-memory-mib = 512
-
-[[ground-station]]
-name = "accra"
-lat = 5.6037
-lon = -0.187
-vcpus = 4
-memory-mib = 4096
-
-[[ground-station]]
-name = "abuja"
-lat = 9.0765
-lon = 7.3986
-vcpus = 4
-memory-mib = 4096
-
-[[ground-station]]
-name = "yaounde"
-lat = 3.848
-lon = 11.5021
-vcpus = 4
-memory-mib = 4096
-
-[[ground-station]]
-name = "johannesburg-dc"
-lat = -26.2041
-lon = 28.0473
-vcpus = 8
-memory-mib = 8192
-"#;
+/// The §4 meetup testbed as a configuration file, shared with the strict
+/// configuration tests.
+const FULL_CONFIG_TOML: &str = include_str!("full_config.toml");
 
 #[test]
 fn toml_configuration_drives_a_full_meetup_experiment() {
