@@ -4,8 +4,8 @@
 //! Runs a full testbed — sharded hosts, pipelined epoch engine, the chaos
 //! engine enabled — for a simulated day at one-second epochs, with a
 //! journalling guest application pinging between the two ground stations.
-//! Three gates must hold for the soak to pass (the process exits non-zero
-//! otherwise, so CI can gate on it directly):
+//! Three gates must hold for the soak to pass (the process exits 1
+//! otherwise, after writing the report):
 //!
 //! 1. **Flat growth** — journal bytes and heap allocations per block stay
 //!    flat after warm-up (`celestial::invariants::SoakMeter`). A counting
@@ -22,15 +22,18 @@
 //! $ cargo run --release -p celestial-bench --bin bench_chaos -- --quick  # CI smoke
 //! ```
 //!
-//! Flags: `--quick` (10-simulated-minute smoke), `--duration-s S`,
-//! `--block-s S`, `--seed N`, `--shards N`, `--synchronous`,
-//! `--out FILE` (default `BENCH_chaos.json`, or
-//! `BENCH_chaos_smoke.json` under `--quick`).
+//! The report also gates that chaos scheduled events, that blocks were
+//! recorded and that no recovery failed.
+//!
+//! Flags: `--quick` (10-simulated-minute smoke), `--seed N` (default 11),
+//! `--out FILE` (default `BENCH_chaos.json`, or `BENCH_chaos_smoke.json`
+//! under `--quick`).
 
 use celestial::config::{ChaosConfig, TestbedConfig};
 use celestial::invariants::{check_no_uncapped, programme_divergence, SoakMeter};
 use celestial::pipeline::PipelineMode;
 use celestial::testbed::{AppContext, GuestApplication, Testbed};
+use celestial_bench::{BenchReport, Op, Options};
 use celestial_constellation::{BoundingBox, GroundStation, Shell};
 use celestial_netem::Packet;
 use celestial_sgp4::WalkerShell;
@@ -40,6 +43,7 @@ use celestial_types::time::{SimDuration, SimInstant};
 use serde_json::{json, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -73,79 +77,38 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-struct Options {
+/// The simulated horizon and the length of one growth-sampling block.
+struct Params {
     duration_s: f64,
     block_s: u64,
-    warmup_blocks: usize,
-    tolerance: f64,
-    seed: u64,
-    shards: u32,
-    mode: PipelineMode,
-    out: String,
 }
 
-fn parse_options() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut options = Options {
-        duration_s: 86_400.0,
-        block_s: 3_600,
-        warmup_blocks: 2,
-        tolerance: 2.0,
-        seed: 11,
-        shards: 4,
-        mode: PipelineMode::Pipelined,
-        out: celestial_bench::bench_out("chaos", &args),
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {
-                options.duration_s = 600.0;
-                options.block_s = 60;
-            }
-            "--duration-s" => {
-                if let Some(v) = iter.next() {
-                    options.duration_s = v.parse().expect("--duration-s takes seconds");
-                }
-            }
-            "--block-s" => {
-                if let Some(v) = iter.next() {
-                    options.block_s = v.parse().expect("--block-s takes seconds");
-                }
-            }
-            "--seed" => {
-                if let Some(v) = iter.next() {
-                    options.seed = v.parse().expect("--seed takes a number");
-                }
-            }
-            "--shards" => {
-                if let Some(v) = iter.next() {
-                    options.shards = v.parse().expect("--shards takes a number");
-                }
-            }
-            "--synchronous" => options.mode = PipelineMode::Synchronous,
-            "--out" => {
-                if let Some(v) = iter.next() {
-                    options.out = v.clone();
-                }
-            }
-            other => eprintln!("ignoring unknown flag {other:?}"),
-        }
-    }
-    options
-}
+/// A simulated day in one-hour blocks; `--quick` soaks ten minutes.
+const FULL: Params = Params { duration_s: 86_400.0, block_s: 3_600 };
+const QUICK: Params = Params { duration_s: 600.0, block_s: 60 };
 
-fn config(options: &Options, chaos: Option<ChaosConfig>) -> TestbedConfig {
+/// Blocks excluded from the flat-growth verdict, and the headroom it
+/// allows each later block over the first steady one.
+const WARMUP_BLOCKS: usize = 2;
+const TOLERANCE: f64 = 2.0;
+
+/// Host shards of the soaked testbed.
+const SHARDS: u32 = 4;
+
+/// The default chaos seed.
+const SEED: u64 = 11;
+
+fn config(params: &Params, seed: u64, chaos: Option<ChaosConfig>) -> TestbedConfig {
     let mut builder = TestbedConfig::builder()
-        .seed(options.seed)
+        .seed(seed)
         .update_interval_s(1.0)
-        .duration_s(options.duration_s)
+        .duration_s(params.duration_s)
         .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, 12, 16)))
         .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
         .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
         .bounding_box(BoundingBox::west_africa())
-        .pipeline(options.mode)
-        .shards(options.shards);
+        .pipeline(PipelineMode::Pipelined)
+        .shards(SHARDS);
     if let Some(chaos) = chaos {
         builder = builder.chaos(chaos);
     }
@@ -250,18 +213,20 @@ struct Quiet;
 
 impl GuestApplication for Quiet {}
 
-fn main() {
-    let options = parse_options();
+fn main() -> ExitCode {
+    let options = Options::from_args(Some(SEED));
+    let params = options.pick(FULL, QUICK);
+    let seed = options.seed;
     println!(
-        "# bench_chaos: {} s simulated at 1 s epochs, {} s blocks, seed {}, {} shards, {:?}",
-        options.duration_s, options.block_s, options.seed, options.shards, options.mode
+        "# bench_chaos: {} s simulated at 1 s epochs, {} s blocks, seed {seed}, {SHARDS} shards, pipelined",
+        params.duration_s, params.block_s
     );
 
     // Chaos run.
-    let chaos_config = config(&options, Some(ChaosConfig::default()));
+    let chaos_config = config(&params, seed, Some(ChaosConfig::default()));
     let mut testbed = Testbed::new(&chaos_config).expect("chaos testbed");
     let chaos_events = testbed.chaos_events();
-    let mut app = SoakApp::new(options.block_s);
+    let mut app = SoakApp::new(params.block_s);
     let started = Instant::now();
     testbed.run(&mut app).expect("chaos soak run");
     let chaos_wall_s = started.elapsed().as_secs_f64();
@@ -276,7 +241,7 @@ fn main() {
     );
 
     // Fault-free reference run for the convergence gate.
-    let reference_config = config(&options, None);
+    let reference_config = config(&params, seed, None);
     let mut reference = Testbed::new(&reference_config).expect("reference testbed");
     let started = Instant::now();
     reference.run(&mut Quiet).expect("reference run");
@@ -288,7 +253,7 @@ fn main() {
     for &(journal, allocs) in &app.samples {
         meter.record_block(journal, allocs);
     }
-    let flat = meter.verdict(options.warmup_blocks, options.tolerance);
+    let flat = meter.verdict(WARMUP_BLOCKS, TOLERANCE);
     let uncapped = check_no_uncapped(&chaos_programme);
     let divergence = programme_divergence(&reference_programme, &chaos_programme);
     let failed_recoveries = testbed.failed_recoveries();
@@ -311,16 +276,34 @@ fn main() {
             json!({"block": i, "journal_bytes": journal, "allocations": allocs})
         })
         .collect();
-    let document = json!({
-        "bench": "chaos",
-        "duration_s": options.duration_s,
+    if failures.is_empty() {
+        println!(
+            "# PASS: flat over {} blocks, 0 uncapped pairs, converged to the fault-free programme",
+            app.samples.len()
+        );
+    } else {
+        for failure in &failures {
+            eprintln!("# FAIL: {failure}");
+        }
+    }
+
+    let mut report = BenchReport::new("chaos", &options);
+    // A soak in which chaos scheduled nothing proves nothing.
+    report.gate("chaos_events", chaos_events as f64, Op::Gt, 0.0);
+    report.gate("blocks", blocks.len() as f64, Op::Ge, 1.0);
+    report.check("flat", flat.is_ok());
+    report.gate("uncapped_pairs", uncapped.len() as f64, Op::Eq, 0.0);
+    report.check("converged", divergence.is_empty());
+    report.gate("failed_recoveries", failed_recoveries as f64, Op::Eq, 0.0);
+    report.finish(json!({
+        "duration_s": params.duration_s,
         "interval_s": 1.0,
-        "block_s": options.block_s,
-        "warmup_blocks": options.warmup_blocks,
-        "tolerance": options.tolerance,
-        "seed": options.seed,
-        "shards": options.shards,
-        "pipelined": options.mode == PipelineMode::Pipelined,
+        "block_s": params.block_s,
+        "warmup_blocks": WARMUP_BLOCKS,
+        "tolerance": TOLERANCE,
+        "seed": seed,
+        "shards": SHARDS,
+        "pipelined": true,
         "chaos_events": chaos_events,
         "ignored_faults": testbed.ignored_faults(),
         "failed_recoveries": failed_recoveries,
@@ -335,20 +318,5 @@ fn main() {
         "failures": failures,
         "chaos_wall_s": chaos_wall_s,
         "reference_wall_s": reference_wall_s,
-    });
-    let body = serde_json::to_string(&document).expect("serializable document");
-    std::fs::write(&options.out, &body).expect("write BENCH_chaos.json");
-    println!("# wrote {}", options.out);
-
-    if failures.is_empty() {
-        println!(
-            "# PASS: flat over {} blocks, 0 uncapped pairs, converged to the fault-free programme",
-            app.samples.len()
-        );
-    } else {
-        for failure in &failures {
-            eprintln!("# FAIL: {failure}");
-        }
-        std::process::exit(1);
-    }
+    }))
 }

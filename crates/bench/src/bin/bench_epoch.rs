@@ -20,9 +20,8 @@
 //! event loop is blocked at each epoch handover. A synchronous engine stalls
 //! for the full epoch computation; the pipeline stalls only for the channel
 //! receive of an already finished bundle — that stall ratio is the
-//! epoch-throughput improvement a saturated event loop observes, and CI
-//! asserts it stays ≥ 1.5× for the pipelined engine (in practice it is far
-//! higher). Wall-clock ms/epoch (including playout) is reported alongside
+//! epoch-throughput improvement a saturated event loop observes, gated at
+//! ≥ 1.5× for the pipelined engine (in practice it is far higher). Wall-clock ms/epoch (including playout) is reported alongside
 //! for context.
 //!
 //! ```console
@@ -30,125 +29,67 @@
 //! $ cargo run --release -p celestial-bench --bin bench_epoch -- --quick # CI smoke
 //! ```
 //!
-//! Flags: `--quick` (small graph, fewer epochs), `--planes N`,
-//! `--satellites-per-plane N`, `--epochs N`, `--interval-s S`,
-//! `--out FILE` (default `BENCH_epoch.json`, or
-//! `BENCH_epoch_smoke.json` under `--quick`).
+//! Flags: `--quick` (small graph, fewer epochs), `--out FILE` (default
+//! `BENCH_epoch.json`, or `BENCH_epoch_smoke.json` under `--quick`). The
+//! gates (the pipelined stall speedup, every configuration timed) are
+//! evaluated here: a failed gate exits 1 after the report is written.
 
 use celestial::pipeline::{EpochCompute, EpochPipeline, PipelineMode};
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
-use celestial_sgp4::WalkerShell;
-use celestial_types::geo::Geodetic;
+use celestial_bench::{grid_constellation, min_field, BenchReport, Op, Options};
+use celestial_constellation::{BoundingBox, Constellation};
 use celestial_types::time::SimDuration;
 use serde_json::{json, Value};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-struct Options {
+/// The measured +GRID and the number of epochs per configuration.
+struct Params {
     planes: u32,
     per_plane: u32,
     epochs: u32,
-    interval_s: f64,
-    out: String,
 }
 
-fn parse_options() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The default mirrors bench_paths/bench_netprog: a 1024-satellite +GRID
-    // at the steady-state one-second update cadence.
-    let mut options = Options {
-        planes: 32,
-        per_plane: 32,
-        epochs: 20,
-        interval_s: 1.0,
-        out: celestial_bench::bench_out("epoch", &args),
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {
-                options.planes = 12;
-                options.per_plane = 16;
-                options.epochs = 10;
-            }
-            "--planes" => {
-                if let Some(v) = iter.next() {
-                    options.planes = v.parse().expect("--planes takes a number");
-                }
-            }
-            "--satellites-per-plane" => {
-                if let Some(v) = iter.next() {
-                    options.per_plane = v.parse().expect("--satellites-per-plane takes a number");
-                }
-            }
-            "--epochs" => {
-                if let Some(v) = iter.next() {
-                    options.epochs = v.parse().expect("--epochs takes a number");
-                }
-            }
-            "--interval-s" => {
-                if let Some(v) = iter.next() {
-                    options.interval_s = v.parse().expect("--interval-s takes seconds");
-                }
-            }
-            "--out" => {
-                if let Some(v) = iter.next() {
-                    options.out = v.clone();
-                }
-            }
-            other => eprintln!("ignoring unknown flag {other:?}"),
-        }
-    }
-    options
-}
+/// The full run mirrors bench_paths/bench_netprog: a 1024-satellite +GRID.
+const FULL: Params = Params { planes: 32, per_plane: 32, epochs: 20 };
+const QUICK: Params = Params { planes: 12, per_plane: 16, epochs: 10 };
 
-fn constellation(options: &Options) -> Constellation {
-    Constellation::builder()
-        .shell(Shell::from_walker(WalkerShell::new(
-            550.0,
-            53.0,
-            options.planes,
-            options.per_plane,
-        )))
-        .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
-        .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
-        .bounding_box(BoundingBox::west_africa())
-        .build()
-        .expect("valid constellation")
+/// The steady-state one-second update cadence.
+const INTERVAL_S: f64 = 1.0;
+
+fn constellation(params: &Params) -> Constellation {
+    grid_constellation(params.planes, params.per_plane, BoundingBox::west_africa())
 }
 
 /// Runs `epochs` epoch boundaries at the configured cadence, sleeping for
 /// `playout` between boundaries to model the event loop playing the epoch.
 /// Returns (total wall ms, mean boundary-wait ms).
-fn run_epochs(
-    mut pipeline: EpochPipeline,
-    options: &Options,
-    playout: Duration,
-) -> (f64, f64) {
+fn run_epochs(mut pipeline: EpochPipeline, epochs: u32, playout: Duration) -> (f64, f64) {
     let started = Instant::now();
-    for epoch in 0..options.epochs {
-        let t = f64::from(epoch) * options.interval_s;
+    for epoch in 0..epochs {
+        let t = f64::from(epoch) * INTERVAL_S;
         let bundle = pipeline.advance(t).expect("epoch computation");
         pipeline.recycle(bundle);
         std::thread::sleep(playout);
     }
     let total_ms = started.elapsed().as_secs_f64() * 1e3;
-    let wait_ms = pipeline.stats().total_wait_ns as f64 / 1e6 / f64::from(options.epochs);
+    let wait_ms = pipeline.stats().total_wait_ns as f64 / 1e6 / f64::from(epochs);
     (total_ms, wait_ms)
 }
 
-fn main() {
-    let options = parse_options();
-    let nodes = constellation(&options).node_count();
+fn main() -> ExitCode {
+    let options = Options::from_args(None);
+    let params = options.pick(FULL, QUICK);
+    let nodes = constellation(&params).node_count();
 
     // Calibrate the playout window: the steady-state compute time of the
     // serial seed path (a few warm-up epochs, inline, no sleep). The paper's
     // argument is exactly that emulation work of this order fills the
     // interval while the next epoch computes.
-    let mut calibrate = EpochCompute::with_threads(constellation(&options), 1);
+    let mut calibrate = EpochCompute::with_threads(constellation(&params), 1);
     let mut serial_compute_ms = 0.0;
     let calibration_epochs = 5u32;
     for epoch in 0..=calibration_epochs {
-        let t = f64::from(epoch) * options.interval_s;
+        let t = f64::from(epoch) * INTERVAL_S;
         let started = Instant::now();
         calibrate.compute(t).expect("calibration epoch");
         // Skip the first epoch: it pays one-off allocation + full solve.
@@ -164,18 +105,18 @@ fn main() {
     let playout = Duration::from_secs_f64((serial_compute_ms * 1.5 / 1e3).max(0.002));
     let playout_ms = playout.as_secs_f64() * 1e3;
     println!(
-        "# bench_epoch: {nodes} nodes (+GRID {}x{}), {} epochs at {} s, \
+        "# bench_epoch: {nodes} nodes (+GRID {}x{}), {} epochs at {INTERVAL_S} s, \
          serial compute {serial_compute_ms:.2} ms, playout {playout_ms:.2} ms",
-        options.planes, options.per_plane, options.epochs, options.interval_s
+        params.planes, params.per_plane, params.epochs
     );
 
-    let interval = SimDuration::from_secs_f64(options.interval_s);
+    let interval = SimDuration::from_secs_f64(INTERVAL_S);
     let configs: [(&str, Box<dyn Fn() -> EpochPipeline>); 3] = [
         (
             "serial",
             Box::new(|| {
                 EpochPipeline::new(
-                    EpochCompute::with_threads(constellation(&options), 1),
+                    EpochCompute::with_threads(constellation(&params), 1),
                     PipelineMode::Synchronous,
                     interval,
                 )
@@ -185,7 +126,7 @@ fn main() {
             "batch",
             Box::new(|| {
                 EpochPipeline::new(
-                    EpochCompute::new(constellation(&options)),
+                    EpochCompute::new(constellation(&params)),
                     PipelineMode::Synchronous,
                     interval,
                 )
@@ -195,7 +136,7 @@ fn main() {
             "pipelined",
             Box::new(|| {
                 EpochPipeline::new(
-                    EpochCompute::new(constellation(&options)),
+                    EpochCompute::new(constellation(&params)),
                     PipelineMode::Pipelined,
                     interval,
                 )
@@ -206,8 +147,8 @@ fn main() {
     let mut results: Vec<Value> = Vec::new();
     let mut stall_ms = [0.0f64; 3];
     for (index, (name, build)) in configs.iter().enumerate() {
-        let (total_ms, wait_ms) = run_epochs(build(), &options, playout);
-        let per_epoch = total_ms / f64::from(options.epochs);
+        let (total_ms, wait_ms) = run_epochs(build(), params.epochs, playout);
+        let per_epoch = total_ms / f64::from(params.epochs);
         stall_ms[index] = wait_ms;
         println!(
             "{name:>9}: boundary stall {wait_ms:8.3} ms/epoch (wall {per_epoch:.3} ms/epoch incl. playout)"
@@ -229,20 +170,23 @@ fn main() {
         "# boundary-stall speedup over serial: batch {speedup_batch:.2}x, pipelined {speedup_pipelined:.2}x"
     );
 
-    let document = json!({
-        "bench": "epoch",
+    let mut report = BenchReport::new("epoch", &options);
+    report.gate("nodes", nodes as f64, Op::Gt, 0.0);
+    report.gate("epochs", f64::from(params.epochs), Op::Gt, 0.0);
+    report.gate("configs", results.len() as f64, Op::Eq, 3.0);
+    report.gate("min_ms_per_epoch", min_field(&results, "ms_per_epoch"), Op::Gt, 0.0);
+    report.gate("min_boundary_stall_ms", min_field(&results, "boundary_stall_ms"), Op::Ge, 0.0);
+    report.gate("speedup_pipelined", speedup_pipelined, Op::Ge, 1.5);
+    report.finish(json!({
         "nodes": nodes,
-        "planes": options.planes,
-        "satellites_per_plane": options.per_plane,
-        "epochs": options.epochs,
-        "interval_s": options.interval_s,
+        "planes": params.planes,
+        "satellites_per_plane": params.per_plane,
+        "epochs": params.epochs,
+        "interval_s": INTERVAL_S,
         "serial_compute_ms": serial_compute_ms,
         "playout_ms": playout_ms,
         "results": results,
         "speedup_batch": speedup_batch,
         "speedup_pipelined": speedup_pipelined,
-    });
-    let body = serde_json::to_string(&document).expect("serializable document");
-    std::fs::write(&options.out, &body).expect("write BENCH_epoch.json");
-    println!("# wrote {}", options.out);
+    }))
 }

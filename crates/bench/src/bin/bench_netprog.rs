@@ -19,96 +19,42 @@
 //! $ cargo run --release -p celestial-bench --bin bench_netprog -- --quick # CI smoke
 //! ```
 //!
-//! Flags: `--quick` (small graph, fewer updates), `--planes N`,
-//! `--satellites-per-plane N`, `--updates N`, `--interval-s S`,
-//! `--out FILE` (default `BENCH_netprog.json`, or
-//! `BENCH_netprog_smoke.json` under `--quick`).
+//! Flags: `--quick` (small graph, fewer updates), `--out FILE` (default
+//! `BENCH_netprog.json`, or `BENCH_netprog_smoke.json` under `--quick`).
+//! The gates (the delta engine does at least 5× fewer pair programmings
+//! than the full rebuild; every update's delta adds up) are evaluated
+//! here: a failed gate exits 1 after the report is written.
 
 use celestial::Coordinator;
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, Shell};
-use celestial_sgp4::WalkerShell;
-use celestial_types::geo::Geodetic;
+use celestial_bench::{grid_constellation, min_field, BenchReport, Op, Options};
+use celestial_constellation::BoundingBox;
 use celestial_types::time::SimDuration;
 use serde_json::{json, Value};
+use std::process::ExitCode;
 use std::time::Instant;
 
-struct Options {
+/// The measured +GRID and the number of steady-state updates.
+struct Params {
     planes: u32,
     per_plane: u32,
     updates: u32,
-    interval_s: f64,
-    out: String,
 }
 
-fn parse_options() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The default mirrors bench_paths' 1024-satellite +GRID; one-second
-    // updates are the steady-state cadence of the paper's experiments.
-    let mut options = Options {
-        planes: 32,
-        per_plane: 32,
-        updates: 10,
-        interval_s: 1.0,
-        out: celestial_bench::bench_out("netprog", &args),
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {
-                options.planes = 12;
-                options.per_plane = 16;
-                options.updates = 5;
-            }
-            "--planes" => {
-                if let Some(v) = iter.next() {
-                    options.planes = v.parse().expect("--planes takes a number");
-                }
-            }
-            "--satellites-per-plane" => {
-                if let Some(v) = iter.next() {
-                    options.per_plane = v.parse().expect("--satellites-per-plane takes a number");
-                }
-            }
-            "--updates" => {
-                if let Some(v) = iter.next() {
-                    options.updates = v.parse().expect("--updates takes a number");
-                }
-            }
-            "--interval-s" => {
-                if let Some(v) = iter.next() {
-                    options.interval_s = v.parse().expect("--interval-s takes seconds");
-                }
-            }
-            "--out" => {
-                if let Some(v) = iter.next() {
-                    options.out = v.clone();
-                }
-            }
-            other => eprintln!("ignoring unknown flag {other:?}"),
-        }
-    }
-    options
-}
+/// The full run mirrors bench_paths' 1024-satellite +GRID.
+const FULL: Params = Params { planes: 32, per_plane: 32, updates: 10 };
+const QUICK: Params = Params { planes: 12, per_plane: 16, updates: 5 };
 
-fn main() {
-    let options = parse_options();
-    let constellation = Constellation::builder()
-        .shell(Shell::from_walker(WalkerShell::new(
-            550.0,
-            53.0,
-            options.planes,
-            options.per_plane,
-        )))
-        .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
-        .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
-        .bounding_box(BoundingBox::west_africa())
-        .build()
-        .expect("valid constellation");
+/// One-second updates are the steady-state cadence of the paper's
+/// experiments.
+const INTERVAL_S: f64 = 1.0;
+
+fn main() -> ExitCode {
+    let options = Options::from_args(None);
+    let params = options.pick(FULL, QUICK);
+    let constellation =
+        grid_constellation(params.planes, params.per_plane, BoundingBox::west_africa());
     let nodes = constellation.node_count();
-    let mut coordinator = Coordinator::new(
-        constellation,
-        SimDuration::from_secs_f64(options.interval_s),
-    );
+    let mut coordinator = Coordinator::new(constellation, SimDuration::from_secs_f64(INTERVAL_S));
 
     // Warm-up epoch: every reachable pair is added; steady state starts
     // after it.
@@ -116,14 +62,16 @@ fn main() {
     let initial_pairs = coordinator.programme_pair_count();
     println!(
         "# bench_netprog: {nodes} nodes (+GRID {}x{}), {} initial pairs, {} steady-state updates at {} s",
-        options.planes, options.per_plane, initial_pairs, options.updates, options.interval_s
+        params.planes, params.per_plane, initial_pairs, params.updates, INTERVAL_S
     );
 
     let mut results: Vec<Value> = Vec::new();
     let mut full_ops: u64 = 0;
     let mut delta_ops: u64 = 0;
-    for update in 1..=options.updates {
-        let t = f64::from(update) * options.interval_s;
+    // Updates whose operation count is not `added + changed + removed`.
+    let mut mismatched = 0usize;
+    for update in 1..=params.updates {
+        let t = f64::from(update) * INTERVAL_S;
         let start = Instant::now();
         coordinator.update(t).expect("steady-state update");
         let update_ns = start.elapsed().as_nanos() as u64;
@@ -133,6 +81,9 @@ fn main() {
         // touches only the change set.
         full_ops += pairs as u64;
         delta_ops += delta.op_count() as u64;
+        mismatched += usize::from(
+            delta.op_count() != delta.added.len() + delta.changed.len() + delta.removed.len(),
+        );
         println!(
             "update {update:>3}: {pairs:>6} pairs, delta {:>5} ops ({} added, {} changed, {} removed)",
             delta.op_count(),
@@ -159,20 +110,25 @@ fn main() {
         "# full rebuild: {full_ops} pair programmings, delta engine: {delta_ops} ({ratio:.1}x fewer)"
     );
 
-    let document = json!({
-        "bench": "netprog",
+    let mut report = BenchReport::new("netprog", &options);
+    report.gate("nodes", nodes as f64, Op::Gt, 0.0);
+    report.gate("initial_pairs", initial_pairs as f64, Op::Gt, 0.0);
+    report.gate("results", results.len() as f64, Op::Ge, 1.0);
+    report.gate("min_pairs", min_field(&results, "pairs"), Op::Gt, 0.0);
+    report.gate("updates_with_unbalanced_delta", mismatched as f64, Op::Eq, 0.0);
+    // The counts are deterministic (orbital mechanics + 0.1 ms
+    // quantization), so the ratio is stable across machines.
+    report.gate("ratio", ratio, Op::Ge, 5.0);
+    report.finish(json!({
         "nodes": nodes,
-        "planes": options.planes,
-        "satellites_per_plane": options.per_plane,
-        "updates": options.updates,
-        "interval_s": options.interval_s,
+        "planes": params.planes,
+        "satellites_per_plane": params.per_plane,
+        "updates": params.updates,
+        "interval_s": INTERVAL_S,
         "initial_pairs": initial_pairs,
         "full_pair_programmings": full_ops,
         "delta_pair_programmings": delta_ops,
         "ratio": ratio,
         "results": results,
-    });
-    let body = serde_json::to_string(&document).expect("serializable document");
-    std::fs::write(&options.out, &body).expect("write BENCH_netprog.json");
-    println!("# wrote {}", options.out);
+    }))
 }

@@ -4,24 +4,26 @@
 //! (nested-`Vec` adjacency, per-source allocation, `Option<usize>` next-hop
 //! matrix — reimplemented here verbatim as the baseline) against the CSR
 //! [`NetworkGraph`] and the parallel [`celestial_constellation::PathEngine`],
-//! plus the Floyd–Warshall reference on small graphs.
+//! plus the Floyd–Warshall reference on small graphs and a single-source
+//! Dijkstra from a ground station on the 72×22 Starlink shell.
 //!
 //! ```console
 //! $ cargo run --release -p celestial-bench --bin bench_paths            # 1000+ nodes
 //! $ cargo run --release -p celestial-bench --bin bench_paths -- --quick # CI smoke
 //! ```
 //!
-//! Flags: `--quick` (small graph), `--planes N`, `--satellites-per-plane N`,
-//! `--out FILE` (default `BENCH_paths.json`, or
-//! `BENCH_paths_smoke.json` under `--quick`).
+//! Flags: `--quick` (small graph), `--out FILE` (default `BENCH_paths.json`,
+//! or `BENCH_paths_smoke.json` under `--quick`). The gates (a non-empty
+//! graph, every record timed) are evaluated here: a failed gate exits 1
+//! after the report is written.
 
+use celestial_bench::{grid_constellation, min_field, BenchReport, Op, Options};
 use celestial_constellation::path::{Cost, NetworkGraph, UNREACHABLE};
-use celestial_constellation::{Constellation, GroundStation, PathAlgorithm, PathEngine, Shell};
-use celestial_sgp4::WalkerShell;
-use celestial_types::geo::Geodetic;
+use celestial_constellation::{BoundingBox, PathAlgorithm, PathEngine};
 use serde_json::{json, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// The seed's path subsystem, reimplemented as the benchmark baseline:
@@ -108,78 +110,43 @@ fn measure<T>(min_iters: u32, mut op: impl FnMut() -> T) -> (u64, u32) {
     ((start.elapsed().as_nanos() / u128::from(iters)) as u64, iters)
 }
 
-struct Options {
-    planes: u32,
-    per_plane: u32,
-    out: String,
+/// The measured +GRID (planes, satellites per plane) and the node-count
+/// sweep of the engine's full solve.
+struct Params {
+    grid: (u32, u32),
+    sweep: &'static [(u32, u32)],
 }
 
-fn parse_options() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The default is a 1024-satellite +GRID — comfortably past the 1,000
-    // node mark the acceptance bar asks for.
-    let mut options = Options {
-        planes: 32,
-        per_plane: 32,
-        out: celestial_bench::bench_out("paths", &args),
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {
-                options.planes = 8;
-                options.per_plane = 8;
-            }
-            "--planes" => {
-                if let Some(v) = iter.next() {
-                    options.planes = v.parse().expect("--planes takes a number");
-                }
-            }
-            "--satellites-per-plane" => {
-                if let Some(v) = iter.next() {
-                    options.per_plane = v.parse().expect("--satellites-per-plane takes a number");
-                }
-            }
-            "--out" => {
-                if let Some(v) = iter.next() {
-                    options.out = v.clone();
-                }
-            }
-            other => eprintln!("ignoring unknown flag {other:?}"),
-        }
-    }
-    options
-}
+/// The default is a 1024-satellite +GRID, comfortably past the 1,000-node
+/// mark; the sweep stops well short of mega scale because the full solve is
+/// exactly what stops scaling there.
+const FULL: Params = Params { grid: (32, 32), sweep: &[(16, 16), (32, 32), (48, 48)] };
+const QUICK: Params = Params { grid: (8, 8), sweep: &[(4, 4), (8, 8)] };
 
-fn graph_of(options: &Options) -> NetworkGraph {
-    let constellation = Constellation::builder()
-        .shell(Shell::from_walker(WalkerShell::new(
-            550.0,
-            53.0,
-            options.planes,
-            options.per_plane,
-        )))
-        .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
-        .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
-        .build()
-        .expect("valid constellation");
+/// The first shell of the Starlink phase-I constellation (72 planes of 22).
+const STARLINK_SHELL: (u32, u32) = (72, 22);
+
+fn graph_of((planes, per_plane): (u32, u32)) -> NetworkGraph {
+    let constellation = grid_constellation(planes, per_plane, BoundingBox::whole_earth());
     constellation.state_at(0.0).expect("state").graph().clone()
 }
 
-fn main() {
-    let options = parse_options();
-    let graph = graph_of(&options);
+fn main() -> ExitCode {
+    let options = Options::from_args(None);
+    let params = options.pick(FULL, QUICK);
+    let (planes, per_plane) = params.grid;
+    let graph = graph_of(params.grid);
     let nodes = graph.node_count();
     let edges = graph.edge_count();
-    println!("# bench_paths: {nodes} nodes, {edges} edges (+GRID {0}x{1})", options.planes, options.per_plane);
+    println!("# bench_paths: {nodes} nodes, {edges} edges (+GRID {planes}x{per_plane})");
 
     let mut results: Vec<Value> = Vec::new();
-    let mut record = |algorithm: &str, ns_per_op: u64, iters: u32| {
+    let mut record = |algorithm: &str, graph: &NetworkGraph, ns_per_op: u64, iters: u32| {
         println!("{algorithm:<28} {ns_per_op:>14} ns/op  ({iters} iterations)");
         results.push(json!({
             "algorithm": algorithm,
-            "nodes": nodes,
-            "edges": edges,
+            "nodes": graph.node_count(),
+            "edges": graph.edge_count(),
             "ns_per_op": ns_per_op,
             "iterations": iters,
         }));
@@ -190,11 +157,11 @@ fn main() {
     // engine landed.
     let legacy = LegacyGraph::from_graph(&graph);
     let (ns, iters) = measure(2, || legacy.all_pairs_dijkstra());
-    record("seed_nested_vec_dijkstra", ns, iters);
+    record("seed_nested_vec_dijkstra", &graph, ns, iters);
 
     // CSR graph, sequential per-source Dijkstra.
     let (ns, iters) = measure(2, || graph.all_pairs_dijkstra());
-    record("csr_dijkstra", ns, iters);
+    record("csr_dijkstra", &graph, ns, iters);
 
     // The engine: parallel workers + reused buffers (zero steady-state
     // allocation).
@@ -203,7 +170,7 @@ fn main() {
         engine.solve(&graph);
         engine.last_solve().solved_sources
     });
-    record(&format!("engine_parallel_x{}", engine.threads()), ns, iters);
+    record(&format!("engine_parallel_x{}", engine.threads()), &graph, ns, iters);
 
     // The engine restricted to the coordinator's sources: the two ground
     // stations (the realistic per-update workload shape).
@@ -213,29 +180,27 @@ fn main() {
         engine.solve_sources(&graph, &gst_sources);
         engine.last_solve().solved_sources
     });
-    record("engine_ground_station_rows", ns, iters);
+    record("engine_ground_station_rows", &graph, ns, iters);
 
     // Floyd–Warshall is cubic: only feasible on small graphs.
     if nodes <= 256 {
         let (ns, iters) = measure(2, || graph.floyd_warshall());
-        record("floyd_warshall", ns, iters);
+        record("floyd_warshall", &graph, ns, iters);
     }
+
+    // One ground station's row on the first Starlink shell, whatever the
+    // measured grid: the single-source solve the info API falls back to.
+    let starlink = graph_of(STARLINK_SHELL);
+    let source = starlink.node_count() - 1;
+    let (ns, iters) = measure(10, || starlink.dijkstra(source));
+    record("single_source_dijkstra_72x22", &starlink, ns, iters);
 
     // Node-count sweep: the scaling curve of the engine's full solve, the
     // baseline the scoped megascale bench (BENCH_megascale.json) prunes
-    // against. Each record carries its own node count; the sweep stops well
-    // short of mega scale because the full solve is exactly what stops
-    // scaling there.
-    let sweep_scales: &[(u32, u32)] =
-        if options.planes <= 8 { &[(4, 4), (8, 8)] } else { &[(16, 16), (32, 32), (48, 48)] };
+    // against. Each record carries its own node count.
     let mut sweep: Vec<Value> = Vec::new();
-    for &(planes, per_plane) in sweep_scales {
-        let scale_options = Options {
-            planes,
-            per_plane,
-            out: options.out.clone(),
-        };
-        let graph = graph_of(&scale_options);
+    for &(planes, per_plane) in params.sweep {
+        let graph = graph_of((planes, per_plane));
         let mut engine = PathEngine::new(PathAlgorithm::Dijkstra);
         let (ns, iters) = measure(2, || {
             engine.solve(&graph);
@@ -256,16 +221,18 @@ fn main() {
         }));
     }
 
-    let document = json!({
-        "bench": "paths",
+    let mut report = BenchReport::new("paths", &options);
+    report.gate("nodes", nodes as f64, Op::Gt, 0.0);
+    report.gate("edges", edges as f64, Op::Gt, 0.0);
+    report.gate("results", results.len() as f64, Op::Ge, 1.0);
+    report.gate("min_ns_per_op", min_field(&results, "ns_per_op"), Op::Gt, 0.0);
+    report.gate("min_iterations", min_field(&results, "iterations"), Op::Gt, 0.0);
+    report.finish(json!({
         "nodes": nodes,
         "edges": edges,
-        "planes": options.planes,
-        "satellites_per_plane": options.per_plane,
+        "planes": planes,
+        "satellites_per_plane": per_plane,
         "results": results,
         "node_sweep": sweep,
-    });
-    let body = serde_json::to_string(&document).expect("serializable document");
-    std::fs::write(&options.out, &body).expect("write BENCH_paths.json");
-    println!("# wrote {}", options.out);
+    }))
 }

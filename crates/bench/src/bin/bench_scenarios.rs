@@ -4,11 +4,14 @@
 //! (see `docs/SCENARIOS.md`): the block set of `examples/scenario.toml`
 //! expanded into 64 → 1,024 generated tenants (1,024,000 aggregate
 //! simulated users at the top end), every population aggregated at flow
-//! level, riding one shared epoch pipeline. Also gates, exiting non-zero on
-//! violation:
+//! level, riding one shared epoch pipeline. Also gates, exiting 1 after
+//! writing the report on violation:
 //!
 //! * **generation budget** — expanding the full 1,024-tenant fleet from
-//!   TOML must be effectively free (well under one epoch interval), and
+//!   TOML must be effectively free (well under one epoch interval) and
+//!   aggregate at least a million users,
+//! * **flow accounting** — every fleet size runs and accounts flow events,
+//!   and
 //! * **bit-reproducibility** — two runs of the same generated fleet must
 //!   produce identical journals for every tenant.
 //!
@@ -17,59 +20,32 @@
 //! $ cargo run --release -p celestial-bench --bin bench_scenarios -- --quick # CI smoke
 //! ```
 //!
-//! Flags: `--quick` (smaller fleets, fewer epochs), `--epochs N`,
-//! `--out FILE` (default `BENCH_scenarios.json`, or
-//! `BENCH_scenarios_smoke.json` under `--quick`).
+//! Flags: `--quick` (smaller fleets, fewer epochs), `--out FILE` (default
+//! `BENCH_scenarios.json`, or `BENCH_scenarios_smoke.json` under `--quick`).
 
 use celestial::config::TestbedConfig;
 use celestial::testbed::GuestApplication;
 use celestial::Testbed;
 use celestial_apps::ScenarioTenant;
+use celestial_bench::{min_field, BenchReport, Op, Options};
 use serde_json::{json, Value};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// The shipped thousand-tenant scenario, the single source of truth for the
 /// block set swept here.
 const EXAMPLE: &str = include_str!("../../../../examples/scenario.toml");
 
-struct Options {
+/// The epochs per run, the fleet sizes of the curve and the fleet size of
+/// the reproducibility check.
+struct Params {
     epochs: u32,
-    tenant_counts: Vec<u32>,
+    tenant_counts: &'static [u32],
     repro_tenants: u32,
-    out: String,
 }
 
-fn parse_options() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut options = Options {
-        epochs: 10,
-        tenant_counts: vec![64, 256, 1_024],
-        repro_tenants: 16,
-        out: celestial_bench::bench_out("scenarios", &args),
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {
-                options.epochs = 5;
-                options.tenant_counts = vec![16, 64];
-                options.repro_tenants = 8;
-            }
-            "--epochs" => {
-                if let Some(v) = iter.next() {
-                    options.epochs = v.parse().expect("--epochs takes a number");
-                }
-            }
-            "--out" => {
-                if let Some(v) = iter.next() {
-                    options.out = v.clone();
-                }
-            }
-            other => eprintln!("ignoring unknown flag {other:?}"),
-        }
-    }
-    options
-}
+const FULL: Params = Params { epochs: 10, tenant_counts: &[64, 256, 1_024], repro_tenants: 16 };
+const QUICK: Params = Params { epochs: 5, tenant_counts: &[16, 64], repro_tenants: 8 };
 
 /// The example scenario resized to `tenants` generated tenants and
 /// `epochs` one-second epochs.
@@ -117,17 +93,18 @@ fn run_fleet(config: &TestbedConfig) -> FleetRun {
     }
 }
 
-fn main() {
-    let options = parse_options();
+fn main() -> ExitCode {
+    let options = Options::from_args(None);
+    let params = options.pick(FULL, QUICK);
     println!(
         "# bench_scenarios: {} epochs, fleets of {:?} tenants",
-        options.epochs, options.tenant_counts
+        params.epochs, params.tenant_counts
     );
 
     // Gate 1: generating the full shipped 1,024-tenant fleet from TOML is
     // effectively free — parse + expansion must fit well inside one epoch
     // interval even in the quick smoke.
-    let full = config_for(1_024, options.epochs);
+    let full = config_for(1_024, params.epochs);
     let started = Instant::now();
     let fleet = ScenarioTenant::generate(&full).expect("full fleet generates");
     let generation_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -136,24 +113,18 @@ fn main() {
     println!(
         "# generated 1024 tenants / {full_users} aggregate users in {generation_ms:.3} ms"
     );
-    assert!(
-        generation_ms < 1_000.0,
-        "generating 1,024 tenants took {generation_ms:.1} ms, over the 1 s epoch interval"
-    );
-    assert!(full_users >= 1_000_000, "the shipped scenario must aggregate a million users");
 
     // The tenants-vs-wall curve.
     let mut results: Vec<Value> = Vec::new();
-    for &tenants in &options.tenant_counts {
-        let config = config_for(tenants, options.epochs);
+    for &tenants in params.tenant_counts {
+        let config = config_for(tenants, params.epochs);
         let run = run_fleet(&config);
-        let ms_per_epoch = run.wall_ms / f64::from(options.epochs);
+        let ms_per_epoch = run.wall_ms / f64::from(params.epochs);
         println!(
             "{tenants:>5} tenants ({:>9} users): {:10.1} ms wall, {ms_per_epoch:8.2} ms/epoch, \
              {} flow events, {} probes delivered",
             run.users, run.wall_ms, run.events, run.deliveries
         );
-        assert!(run.events > 0, "the fleet must account flow events");
         results.push(json!({
             "tenants": tenants,
             "users": run.users,
@@ -168,33 +139,33 @@ fn main() {
 
     // Gate 2: two runs of the same generated fleet observe the same world,
     // journal line for journal line, for every tenant.
-    let repro_config = config_for(options.repro_tenants, options.epochs);
+    let repro_config = config_for(params.repro_tenants, params.epochs);
     let first = run_fleet(&repro_config);
     let second = run_fleet(&repro_config);
     let reproducible = first.journals == second.journals
         && first.events == second.events
         && first.deliveries == second.deliveries;
-    assert!(
-        reproducible,
-        "two runs of the {}-tenant fleet diverged",
-        options.repro_tenants
-    );
     println!(
-        "# reproducibility: {} tenants x {} epochs bit-identical across two runs",
-        options.repro_tenants, options.epochs
+        "# reproducibility: {} tenants x {} epochs {} across two runs",
+        params.repro_tenants,
+        params.epochs,
+        if reproducible { "bit-identical" } else { "DIVERGED" }
     );
 
-    let document = json!({
-        "bench": "scenarios",
-        "epochs": options.epochs,
-        "tenant_counts": options.tenant_counts,
+    let mut report = BenchReport::new("scenarios", &options);
+    report.gate("users_1024", full_users as f64, Op::Ge, 1_000_000.0);
+    report.gate("generation_ms_1024", generation_ms, Op::Lt, 1_000.0);
+    report.gate("fleet_sizes", results.len() as f64, Op::Ge, 1.0);
+    report.gate("min_wall_ms", min_field(&results, "wall_ms"), Op::Gt, 0.0);
+    report.gate("min_flow_events", min_field(&results, "flow_events"), Op::Gt, 0.0);
+    report.check("bit_reproducible", reproducible);
+    report.finish(json!({
+        "epochs": params.epochs,
+        "tenant_counts": params.tenant_counts.to_vec(),
         "generation_ms_1024": generation_ms,
         "users_1024": full_users,
         "results": results,
-        "repro_tenants": options.repro_tenants,
+        "repro_tenants": params.repro_tenants,
         "bit_reproducible": reproducible,
-    });
-    let body = serde_json::to_string(&document).expect("serializable document");
-    std::fs::write(&options.out, &body).expect("write BENCH_scenarios.json");
-    println!("# wrote {}", options.out);
+    }))
 }

@@ -23,10 +23,9 @@
 //! the recorded update spans). Whole-window `req_per_s` is reported too —
 //! on a single core it converges for both paths (the CPU, not the lock, is
 //! the bottleneck there), which is exactly why the in-boundary rate is the
-//! honest discriminator. CI gates snapshot ≥ 2× locked on
-//! `boundary_req_per_s` in the `--quick` smoke; client-observed p50/p99
-//! tell the same story as latency (the locked p99 absorbs whole epoch
-//! computations).
+//! honest discriminator. The bench gates snapshot ≥ 2× locked on
+//! `boundary_req_per_s`; client-observed p50/p99 tell the same story as
+//! latency (the locked p99 absorbs whole epoch computations).
 //!
 //! **2. Handover stall — does serving load stretch the boundary?** A
 //! *pipelined* coordinator (the `BENCH_epoch.json` configuration: next
@@ -35,32 +34,32 @@
 //! per-epoch handover stall — the event loop's wait at the boundary,
 //! `PipelineStats::total_wait_ns` — must not grow materially under load:
 //! snapshot readers never take a lock the boundary needs. Reported as
-//! `handover_stall_loaded_ms` / `handover_stall_idle_ms`.
+//! `handover_stall_loaded_ms` / `handover_stall_idle_ms` and gated: the
+//! loaded stall stays within 10% of idle, or within 0.05 ms of it.
 //!
 //! ```console
 //! $ cargo run --release -p celestial-bench --bin bench_serve            # default
 //! $ cargo run --release -p celestial-bench --bin bench_serve -- --quick # CI smoke
 //! ```
 //!
-//! Flags: `--quick` (smaller graph, shorter runs), `--planes N`,
-//! `--satellites-per-plane N`, `--window-s S` (saturated-leg measurement
-//! window), `--epochs N` (handover leg), `--clients N`,
-//! `--out FILE` (default `BENCH_serve.json`, or
-//! `BENCH_serve_smoke.json` under `--quick`).
+//! Flags: `--quick` (smaller graph, shorter runs), `--out FILE` (default
+//! `BENCH_serve.json`, or `BENCH_serve_smoke.json` under `--quick`). The
+//! gates are evaluated here: a failed gate exits 1 after the report is
+//! written.
 
 use celestial::config::ServeConfig;
 use celestial::info_api::InfoApi;
 use celestial::pipeline::PipelineMode;
 use celestial::Coordinator;
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, ScopeParams, Shell};
+use celestial_bench::{grid_constellation, min_field, BenchReport, Op, Options};
+use celestial_constellation::{BoundingBox, Constellation, ScopeParams};
 use celestial_serve::ServePlane;
-use celestial_sgp4::WalkerShell;
-use celestial_types::geo::Geodetic;
 use celestial_types::ids::NodeId;
 use celestial_types::time::SimDuration;
 use httpd::{Client, Request, Response, Server};
 use serde_json::{json, Value};
 use std::net::SocketAddr;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -71,83 +70,23 @@ const INTERVAL_S: f64 = 1.0;
 /// floor so a starved thread still produces samples on 1-core runners.
 const MIN_REQUESTS: usize = 50;
 
-struct Options {
+/// The measured +GRID, the saturated legs' measurement window and the
+/// handover leg's epoch count.
+struct Params {
     planes: u32,
     per_plane: u32,
-    epochs: u32,
-    clients: u32,
     window_s: f64,
-    out: String,
+    epochs: u32,
 }
 
-fn parse_options() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut options = Options {
-        planes: 24,
-        per_plane: 24,
-        epochs: 40,
-        clients: 2,
-        window_s: 3.0,
-        out: celestial_bench::bench_out("serve", &args),
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {
-                options.planes = 12;
-                options.per_plane = 16;
-                options.epochs = 25;
-                options.window_s = 1.5;
-            }
-            "--planes" => {
-                if let Some(v) = iter.next() {
-                    options.planes = v.parse().expect("--planes takes a number");
-                }
-            }
-            "--satellites-per-plane" => {
-                if let Some(v) = iter.next() {
-                    options.per_plane = v.parse().expect("--satellites-per-plane takes a number");
-                }
-            }
-            "--epochs" => {
-                if let Some(v) = iter.next() {
-                    options.epochs = v.parse().expect("--epochs takes a number");
-                }
-            }
-            "--clients" => {
-                if let Some(v) = iter.next() {
-                    options.clients = v.parse().expect("--clients takes a number");
-                }
-            }
-            "--window-s" => {
-                if let Some(v) = iter.next() {
-                    options.window_s = v.parse().expect("--window-s takes seconds");
-                }
-            }
-            "--out" => {
-                if let Some(v) = iter.next() {
-                    options.out = v.clone();
-                }
-            }
-            other => eprintln!("ignoring unknown flag {other:?}"),
-        }
-    }
-    options
-}
+const FULL: Params = Params { planes: 24, per_plane: 24, window_s: 3.0, epochs: 40 };
+const QUICK: Params = Params { planes: 12, per_plane: 16, window_s: 1.5, epochs: 25 };
 
-fn constellation(options: &Options) -> Constellation {
-    Constellation::builder()
-        .shell(Shell::from_walker(WalkerShell::new(
-            550.0,
-            53.0,
-            options.planes,
-            options.per_plane,
-        )))
-        .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
-        .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
-        .bounding_box(BoundingBox::west_africa())
-        .build()
-        .expect("valid constellation")
+/// Concurrent reader connections.
+const CLIENTS: u32 = 2;
+
+fn constellation(params: &Params) -> Constellation {
+    grid_constellation(params.planes, params.per_plane, BoundingBox::west_africa())
 }
 
 /// One observed request: completion offset against the run clock and
@@ -262,9 +201,9 @@ impl ReadMetrics {
 
 /// Experiment 1, locked leg: boundaries driven back-to-back, every read
 /// competing for the coordinator mutex the boundary holds.
-fn run_locked_saturated(options: &Options) -> ReadMetrics {
+fn run_locked_saturated(params: &Params) -> ReadMetrics {
     let coordinator = Arc::new(Mutex::new(Coordinator::new(
-        constellation(options),
+        constellation(params),
         SimDuration::from_secs_f64(INTERVAL_S),
     )));
     coordinator.lock().unwrap().update(0.0).expect("first update");
@@ -289,10 +228,10 @@ fn run_locked_saturated(options: &Options) -> ReadMetrics {
 
     let clock = Instant::now();
     let stop = Arc::new(AtomicBool::new(false));
-    let readers = spawn_readers(server.addr(), clock, options.clients, &stop);
+    let readers = spawn_readers(server.addr(), clock, CLIENTS, &stop);
     let mut windows = Vec::new();
     let mut epochs = 0u64;
-    while clock.elapsed().as_secs_f64() < options.window_s {
+    while clock.elapsed().as_secs_f64() < params.window_s {
         epochs += 1;
         // The window is strictly the lock-held span: the updater's own
         // wait to *acquire* the lock is contention where readers are still
@@ -313,9 +252,9 @@ fn run_locked_saturated(options: &Options) -> ReadMetrics {
 
 /// Experiment 1, snapshot leg: the same back-to-back boundaries, reads
 /// answered lock-free by the serving plane.
-fn run_snapshot_saturated(options: &Options) -> (ReadMetrics, (u64, u64)) {
+fn run_snapshot_saturated(params: &Params) -> (ReadMetrics, (u64, u64)) {
     let mut coordinator = Coordinator::new(
-        constellation(options),
+        constellation(params),
         SimDuration::from_secs_f64(INTERVAL_S),
     );
     let store = coordinator.enable_snapshots();
@@ -329,10 +268,10 @@ fn run_snapshot_saturated(options: &Options) -> (ReadMetrics, (u64, u64)) {
 
     let clock = Instant::now();
     let stop = Arc::new(AtomicBool::new(false));
-    let readers = spawn_readers(plane.addr(), clock, options.clients, &stop);
+    let readers = spawn_readers(plane.addr(), clock, CLIENTS, &stop);
     let mut windows = Vec::new();
     let mut epochs = 0u64;
-    while clock.elapsed().as_secs_f64() < options.window_s {
+    while clock.elapsed().as_secs_f64() < params.window_s {
         epochs += 1;
         let start = clock.elapsed().as_nanos() as u64;
         coordinator
@@ -351,9 +290,9 @@ fn run_snapshot_saturated(options: &Options) -> (ReadMetrics, (u64, u64)) {
 /// playout window gives the background worker comfortable wall time even
 /// with readers sharing the core), idle or under client load. Returns the
 /// mean per-epoch handover stall in milliseconds.
-fn run_handover(options: &Options, clients: u32, playout: Duration) -> f64 {
+fn run_handover(params: &Params, clients: u32, playout: Duration) -> f64 {
     let mut coordinator = Coordinator::with_scoped_fanout(
-        constellation(options),
+        constellation(params),
         SimDuration::from_secs_f64(INTERVAL_S),
         PipelineMode::Pipelined,
         None,
@@ -376,7 +315,7 @@ fn run_handover(options: &Options, clients: u32, playout: Duration) -> f64 {
     // measured window.
     std::thread::sleep(playout);
     let wait_before = coordinator.pipeline_stats().total_wait_ns;
-    for epoch in 1..=options.epochs {
+    for epoch in 1..=params.epochs {
         coordinator
             .update(f64::from(epoch) * INTERVAL_S)
             .expect("pipelined update");
@@ -385,17 +324,18 @@ fn run_handover(options: &Options, clients: u32, playout: Duration) -> f64 {
     let wait_ns = coordinator.pipeline_stats().total_wait_ns - wait_before;
     stop.store(true, Ordering::Relaxed);
     join_samples(readers);
-    wait_ns as f64 / 1e6 / f64::from(options.epochs)
+    wait_ns as f64 / 1e6 / f64::from(params.epochs)
 }
 
-fn main() {
-    let options = parse_options();
-    let nodes = constellation(&options).node_count();
+fn main() -> ExitCode {
+    let options = Options::from_args(None);
+    let params = options.pick(FULL, QUICK);
+    let nodes = constellation(&params).node_count();
 
     // Calibrate the steady-state epoch compute time (sets the pipelined
     // leg's playout window; the saturated legs need no cadence at all).
     let mut calibrate = Coordinator::new(
-        constellation(&options),
+        constellation(&params),
         SimDuration::from_secs_f64(INTERVAL_S),
     );
     let calibration_epochs = 5u32;
@@ -414,18 +354,17 @@ fn main() {
     // within the playout even when readers take most of a single core.
     let playout = Duration::from_secs_f64((update_ms * 4.0 / 1e3).max(0.004));
     println!(
-        "# bench_serve: {nodes} nodes (+GRID {}x{}), {} clients, saturated window {} s, \
+        "# bench_serve: {nodes} nodes (+GRID {}x{}), {CLIENTS} clients, saturated window {} s, \
          epoch compute {update_ms:.2} ms, handover playout {:.2} ms x {} epochs",
-        options.planes,
-        options.per_plane,
-        options.clients,
-        options.window_s,
+        params.planes,
+        params.per_plane,
+        params.window_s,
         playout.as_secs_f64() * 1e3,
-        options.epochs,
+        params.epochs,
     );
 
-    let locked = run_locked_saturated(&options);
-    let (snapshot, (published, recycled)) = run_snapshot_saturated(&options);
+    let locked = run_locked_saturated(&params);
+    let (snapshot, (published, recycled)) = run_snapshot_saturated(&params);
     for run in [&locked, &snapshot] {
         println!(
             "{:>9}: boundary {:>8.0} req/s (share {:>4.1}%)  overall {:>8.0} req/s  \
@@ -441,8 +380,8 @@ fn main() {
     }
     let throughput_ratio = snapshot.boundary_req_per_s / locked.boundary_req_per_s.max(1e-9);
 
-    let handover_idle_ms = run_handover(&options, 0, playout);
-    let handover_loaded_ms = run_handover(&options, options.clients, playout);
+    let handover_idle_ms = run_handover(&params, 0, playout);
+    let handover_loaded_ms = run_handover(&params, CLIENTS, playout);
     let stall_ratio = handover_loaded_ms / handover_idle_ms.max(1e-9);
     println!(
         "# snapshot/locked in-boundary throughput {throughput_ratio:.2}x; pipelined handover \
@@ -450,29 +389,42 @@ fn main() {
          ({stall_ratio:.3}x); snapshots published {published}, recycled {recycled}"
     );
 
-    let document = json!({
-        "bench": "serve",
+    let results = vec![locked.to_json(CLIENTS), snapshot.to_json(CLIENTS)];
+    let mut report = BenchReport::new("serve", &options);
+    report.gate("nodes", nodes as f64, Op::Gt, 0.0);
+    report.gate("clients", f64::from(CLIENTS), Op::Gt, 0.0);
+    report.gate("configs", results.len() as f64, Op::Eq, 2.0);
+    report.gate("min_requests", min_field(&results, "requests"), Op::Gt, 0.0);
+    report.gate("min_p99_us", min_field(&results, "p99_us"), Op::Gt, 0.0);
+    // The serving-plane contract (docs/SERVE.md): while an epoch boundary
+    // computes, the snapshot path keeps answering while the locked baseline
+    // stalls; in practice the margin is tens-fold.
+    report.gate("throughput_ratio", throughput_ratio, Op::Ge, 2.0);
+    // Serving load must not stretch the pipelined handover: the loaded
+    // stall stays within 10% of idle, or within 0.05 ms of it (both are
+    // microseconds), whichever bound is looser.
+    let (op, bound) = if handover_idle_ms * 1.1 >= handover_idle_ms + 0.05 {
+        (Op::Le, handover_idle_ms * 1.1)
+    } else {
+        (Op::Lt, handover_idle_ms + 0.05)
+    };
+    report.gate("handover_stall_loaded_ms", handover_loaded_ms, op, bound);
+    report.finish(json!({
         "nodes": nodes,
-        "planes": options.planes,
-        "satellites_per_plane": options.per_plane,
-        "window_s": options.window_s,
-        "epochs": options.epochs,
-        "clients": options.clients,
+        "planes": params.planes,
+        "satellites_per_plane": params.per_plane,
+        "window_s": params.window_s,
+        "epochs": params.epochs,
+        "clients": CLIENTS,
         "interval_s": INTERVAL_S,
         "update_ms": update_ms,
         "playout_ms": playout.as_secs_f64() * 1e3,
-        "results": [
-            locked.to_json(options.clients),
-            snapshot.to_json(options.clients),
-        ],
+        "results": results,
         "throughput_ratio": throughput_ratio,
         "handover_stall_idle_ms": handover_idle_ms,
         "handover_stall_loaded_ms": handover_loaded_ms,
         "handover_stall_ratio": stall_ratio,
         "snapshots_published": published,
         "snapshots_recycled": recycled,
-    });
-    let body = serde_json::to_string(&document).expect("serializable document");
-    std::fs::write(&options.out, &body).expect("write BENCH_serve.json");
-    println!("# wrote {}", options.out);
+    }))
 }

@@ -15,125 +15,67 @@
 //! * `speedup_critical` — global apply time over the *slowest shard's* apply
 //!   time. In the deployment the paper describes, every shard runs on its
 //!   own physical host, so the slowest shard is the wall-clock critical path
-//!   of the epoch — this is the figure that scales with the host count and
-//!   the one CI gates on (≥ 1.5× at 4 hosts).
+//!   of the epoch — a modelled figure that scales with the host count and
+//!   the one gated here (≥ 1.5× at 4 hosts).
 //! * `speedup_wall` — global apply time over the `thread::scope` wall time
 //!   *on this machine*, which additionally depends on how many cores the
-//!   bench machine has (a single-core runner cannot overlap shard applies).
+//!   bench machine has (`host_cores` in the report; a single-core runner
+//!   cannot overlap shard applies).
 //!
 //! ```console
 //! $ cargo run --release -p celestial-bench --bin bench_shard            # default
 //! $ cargo run --release -p celestial-bench --bin bench_shard -- --quick # CI smoke
 //! ```
 //!
-//! Flags: `--quick` (small graph, fewer updates), `--planes N`,
-//! `--satellites-per-plane N`, `--updates N`, `--interval-s S`,
-//! `--hosts A,B,C`, `--out FILE` (default `BENCH_shard.json`, or
-//! `BENCH_shard_smoke.json` under `--quick`).
+//! Flags: `--quick` (small graph, fewer updates), `--out FILE` (default
+//! `BENCH_shard.json`, or `BENCH_shard_smoke.json` under `--quick`). The
+//! gates (the critical-path speedup at 4 hosts, both planes holding the
+//! same rules) are evaluated here: a failed gate exits 1 after the report
+//! is written.
 
 use celestial::pipeline::PipelineMode;
 use celestial::Coordinator;
-use celestial_constellation::{BoundingBox, Constellation, GroundStation, ScopeParams, Shell};
+use celestial_bench::{grid_constellation, min_field, BenchReport, Op, Options};
+use celestial_constellation::{BoundingBox, ScopeParams};
 use celestial_netem::shard::{ShardPlan, ShardedNetwork};
 use celestial_netem::{HostOverlay, VirtualNetwork};
-use celestial_sgp4::WalkerShell;
-use celestial_types::geo::Geodetic;
 use celestial_types::ids::NodeId;
 use celestial_types::time::SimDuration;
 use serde_json::{json, Value};
+use std::process::ExitCode;
 use std::time::Instant;
 
-struct Options {
+/// The measured +GRID and the number of steady-state updates.
+struct Params {
     planes: u32,
     per_plane: u32,
     updates: u32,
-    interval_s: f64,
-    hosts: Vec<u32>,
-    out: String,
 }
 
-fn parse_options() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut options = Options {
-        planes: 32,
-        per_plane: 32,
-        updates: 10,
-        interval_s: 1.0,
-        hosts: vec![1, 2, 4, 8],
-        out: celestial_bench::bench_out("shard", &args),
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => {
-                options.planes = 12;
-                options.per_plane = 16;
-                options.updates = 5;
-            }
-            "--planes" => {
-                if let Some(v) = iter.next() {
-                    options.planes = v.parse().expect("--planes takes a number");
-                }
-            }
-            "--satellites-per-plane" => {
-                if let Some(v) = iter.next() {
-                    options.per_plane = v.parse().expect("--satellites-per-plane takes a number");
-                }
-            }
-            "--updates" => {
-                if let Some(v) = iter.next() {
-                    options.updates = v.parse().expect("--updates takes a number");
-                }
-            }
-            "--interval-s" => {
-                if let Some(v) = iter.next() {
-                    options.interval_s = v.parse().expect("--interval-s takes seconds");
-                }
-            }
-            "--hosts" => {
-                if let Some(v) = iter.next() {
-                    options.hosts = v
-                        .split(',')
-                        .map(|h| h.trim().parse().expect("--hosts takes a comma list"))
-                        .collect();
-                }
-            }
-            "--out" => {
-                if let Some(v) = iter.next() {
-                    options.out = v.clone();
-                }
-            }
-            other => eprintln!("ignoring unknown flag {other:?}"),
-        }
-    }
-    options
-}
+const FULL: Params = Params { planes: 32, per_plane: 32, updates: 10 };
+const QUICK: Params = Params { planes: 12, per_plane: 16, updates: 5 };
 
-fn constellation(options: &Options) -> Constellation {
-    Constellation::builder()
-        .shell(Shell::from_walker(WalkerShell::new(
-            550.0,
-            53.0,
-            options.planes,
-            options.per_plane,
-        )))
-        .ground_station(GroundStation::new("accra", Geodetic::new(5.6037, -0.187, 0.0)))
-        .ground_station(GroundStation::new("abuja", Geodetic::new(9.0765, 7.3986, 0.0)))
-        // A wide bounding box on purpose: the apply cost scales with the
-        // number of programmed pairs, and a small regional box leaves the
-        // programme too small to measure meaningfully.
-        .bounding_box(BoundingBox::new(-50.0, 50.0, -120.0, 60.0))
-        .build()
-        .expect("valid constellation")
-}
+/// The steady-state one-second update cadence.
+const INTERVAL_S: f64 = 1.0;
 
-fn main() {
-    let options = parse_options();
-    let base = constellation(&options);
+/// The host counts measured.
+const HOSTS: [u32; 4] = [1, 2, 4, 8];
+
+fn main() -> ExitCode {
+    let options = Options::from_args(None);
+    let params = options.pick(FULL, QUICK);
+    // A wide bounding box on purpose: the apply cost scales with the number
+    // of programmed pairs, and a small regional box leaves the programme too
+    // small to measure meaningfully.
+    let base = grid_constellation(
+        params.planes,
+        params.per_plane,
+        BoundingBox::new(-50.0, 50.0, -120.0, 60.0),
+    );
     let nodes = base.node_count();
     println!(
-        "# bench_shard: {nodes} nodes (+GRID {}x{}), {} updates at {} s, hosts {:?}",
-        options.planes, options.per_plane, options.updates, options.interval_s, options.hosts
+        "# bench_shard: {nodes} nodes (+GRID {}x{}), {} updates at {INTERVAL_S} s, hosts {HOSTS:?}",
+        params.planes, params.per_plane, params.updates
     );
 
     // The node identities are fixed per topology; used to pre-place every
@@ -147,11 +89,13 @@ fn main() {
 
     let mut results: Vec<Value> = Vec::new();
     let mut speedup_at_4 = None;
-    for &hosts in &options.hosts {
+    // Host counts whose two planes ended with different rule counts.
+    let mut diverged = 0usize;
+    for hosts in HOSTS {
         let plan = ShardPlan::new(hosts);
         let mut coordinator = Coordinator::with_scoped_fanout(
             base.clone(),
-            SimDuration::from_secs_f64(options.interval_s),
+            SimDuration::from_secs_f64(INTERVAL_S),
             PipelineMode::Synchronous,
             Some(plan),
             vec!["tenant-0".to_owned()],
@@ -176,8 +120,8 @@ fn main() {
         let mut wall_ns: u64 = 0;
         let mut delta_ops: u64 = 0;
         let mut updates: Vec<Value> = Vec::new();
-        for update in 0..=options.updates {
-            let t = f64::from(update) * options.interval_s;
+        for update in 0..=params.updates {
+            let t = f64::from(update) * INTERVAL_S;
             coordinator.update(t).expect("update");
             let delta = coordinator.programme_delta();
             delta_ops += delta.op_count() as u64;
@@ -200,17 +144,13 @@ fn main() {
             }));
         }
 
-        // Sanity: both planes hold exactly the same directed rules.
+        // Both planes must hold exactly the same directed rules.
         let shard_rules: usize = sharded
             .shards()
             .iter()
             .map(|s| s.network().tc().rule_count())
             .sum();
-        assert_eq!(
-            global.tc().rule_count(),
-            shard_rules,
-            "planes diverged at {hosts} hosts"
-        );
+        diverged += usize::from(global.tc().rule_count() != shard_rules);
 
         let speedup_critical = global_ns as f64 / critical_ns.max(1) as f64;
         let speedup_wall = global_ns as f64 / wall_ns.max(1) as f64;
@@ -237,17 +177,25 @@ fn main() {
         }));
     }
 
-    let document = json!({
-        "bench": "shard",
+    let mut report = BenchReport::new("shard", &options);
+    report.gate("nodes", nodes as f64, Op::Gt, 0.0);
+    report.gate("min_pairs", min_field(&results, "pairs"), Op::Gt, 0.0);
+    report.gate("min_global_ms", min_field(&results, "global_ms"), Op::Gt, 0.0);
+    report.gate("min_critical_path_ms", min_field(&results, "critical_path_ms"), Op::Gt, 0.0);
+    report.gate("host_counts_with_diverged_planes", diverged as f64, Op::Eq, 0.0);
+    report.gate(
+        "speedup_at_4_hosts",
+        speedup_at_4.expect("4 is a measured host count"),
+        Op::Ge,
+        1.5,
+    );
+    report.finish(json!({
         "nodes": nodes,
-        "planes": options.planes,
-        "satellites_per_plane": options.per_plane,
-        "updates": options.updates,
-        "interval_s": options.interval_s,
+        "planes": params.planes,
+        "satellites_per_plane": params.per_plane,
+        "updates": params.updates,
+        "interval_s": INTERVAL_S,
         "results": results,
         "speedup_at_4_hosts": speedup_at_4,
-    });
-    let body = serde_json::to_string(&document).expect("serializable document");
-    std::fs::write(&options.out, &body).expect("write BENCH_shard.json");
-    println!("# wrote {}", options.out);
+    }))
 }

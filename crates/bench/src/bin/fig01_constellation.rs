@@ -5,14 +5,14 @@
 //! with ISLs and the ground-to-satellite links of one ground station, as the
 //! paper's animation component does.
 
-use celestial_bench::FigureOptions;
+use celestial_bench::{Options, FIGURE_SEED};
 use celestial_constellation::animation::{render_summary, render_svg, RenderOptions};
 use celestial_constellation::{Constellation, GroundStation, Shell};
 use celestial_sgp4::WalkerShell;
 use celestial_types::geo::Geodetic;
 
 fn main() {
-    let options = FigureOptions::from_args();
+    let options = Options::from_args(Some(FIGURE_SEED));
     let shells: Vec<Shell> = WalkerShell::starlink_phase1()
         .into_iter()
         .take(if options.quick { 1 } else { 5 })

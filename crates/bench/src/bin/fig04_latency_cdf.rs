@@ -9,9 +9,9 @@
 
 use celestial::testbed::Testbed;
 use celestial_apps::meetup::{BridgeDeployment, MeetupConfig, MeetupExperiment};
-use celestial_bench::{csv, meetup_testbed_config, FigureOptions};
+use celestial_bench::{csv, meetup_testbed_config, Options, FIGURE_SEED};
 
-fn run(deployment: BridgeDeployment, options: &FigureOptions) -> MeetupExperiment {
+fn run(deployment: BridgeDeployment, options: &Options) -> MeetupExperiment {
     let config = meetup_testbed_config(options);
     let mut testbed = Testbed::new(&config).expect("testbed");
     let mut app = MeetupExperiment::new(MeetupConfig::new(deployment));
@@ -20,7 +20,7 @@ fn run(deployment: BridgeDeployment, options: &FigureOptions) -> MeetupExperimen
 }
 
 fn main() {
-    let options = FigureOptions::from_args();
+    let options = Options::from_args(Some(FIGURE_SEED));
     println!("# Figure 4: end-to-end latency CDFs per client pair");
     let pairs = [(0usize, 1usize, "accra-abuja"), (0, 2, "accra-yaounde"), (1, 2, "abuja-yaounde")];
 

@@ -3,10 +3,10 @@
 
 use celestial::testbed::Testbed;
 use celestial_apps::meetup::{BridgeDeployment, MeetupConfig, MeetupExperiment};
-use celestial_bench::{csv, meetup_testbed_config, FigureOptions};
+use celestial_bench::{csv, meetup_testbed_config, Options, FIGURE_SEED};
 
 fn main() {
-    let options = FigureOptions::from_args();
+    let options = Options::from_args(Some(FIGURE_SEED));
     println!("# Figure 6: reproducibility across three repetitions, Yaounde -> Abuja via cloud bridge");
     println!("run,samples,median_ms,mean_ms,p95_ms");
 

@@ -6,10 +6,10 @@
 
 use celestial::testbed::Testbed;
 use celestial_apps::meetup::{BridgeDeployment, MeetupConfig, MeetupExperiment};
-use celestial_bench::{csv, meetup_testbed_config, FigureOptions};
+use celestial_bench::{csv, meetup_testbed_config, Options, FIGURE_SEED};
 
 fn main() {
-    let options = FigureOptions::from_args();
+    let options = Options::from_args(Some(FIGURE_SEED));
     let config = meetup_testbed_config(&options);
     let mut testbed = Testbed::new(&config).expect("testbed");
     let mut app = MeetupExperiment::new(MeetupConfig::new(BridgeDeployment::Satellite));

@@ -6,13 +6,13 @@
 //! highlights (no ISLs between the first and last plane) and renders the map.
 
 use celestial_apps::{DartConfig, DartDeployment};
-use celestial_bench::FigureOptions;
+use celestial_bench::{Options, FIGURE_SEED};
 use celestial_constellation::animation::{render_summary, render_svg, RenderOptions};
 use celestial_constellation::{Constellation, LinkKind};
 use celestial_bench::dart_app_config;
 
 fn main() {
-    let options = FigureOptions::from_args();
+    let options = Options::from_args(Some(FIGURE_SEED));
     let app_config = dart_app_config(&options, DartDeployment::Central);
     let shell = DartConfig::iridium_shell();
     let constellation = Constellation::builder()

@@ -9,9 +9,9 @@
 use celestial::testbed::Testbed;
 use celestial_apps::dart::DartExperiment;
 use celestial_apps::DartDeployment;
-use celestial_bench::{dart_app_config, dart_testbed_config, FigureOptions};
+use celestial_bench::{dart_app_config, dart_testbed_config, Options, FIGURE_SEED};
 
-fn run(deployment: DartDeployment, options: &FigureOptions) -> DartExperiment {
+fn run(deployment: DartDeployment, options: &Options) -> DartExperiment {
     let app_config = dart_app_config(options, deployment);
     let config = dart_testbed_config(options, &app_config);
     let mut testbed = Testbed::new(&config).expect("testbed");
@@ -21,7 +21,7 @@ fn run(deployment: DartDeployment, options: &FigureOptions) -> DartExperiment {
 }
 
 fn main() {
-    let options = FigureOptions::from_args();
+    let options = Options::from_args(Some(FIGURE_SEED));
     println!("# Figure 11: mean end-to-end latency per data sink, central vs satellite deployment");
 
     for (label, deployment) in [

@@ -2,10 +2,10 @@
 //! cloud hosts vs. renting one cloud VM per satellite server.
 
 use celestial::estimator::{CostModel, ResourceEstimator};
-use celestial_bench::{meetup_testbed_config, FigureOptions};
+use celestial_bench::{meetup_testbed_config, Options, FIGURE_SEED};
 
 fn main() {
-    let options = FigureOptions::from_args();
+    let options = Options::from_args(Some(FIGURE_SEED));
     let config = meetup_testbed_config(&options);
     let estimate = ResourceEstimator::estimate(&config);
     let satellites: u32 = config.shells.iter().map(|s| s.satellite_count()).sum();
