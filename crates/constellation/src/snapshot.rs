@@ -1,17 +1,16 @@
-//! Snapshots of constellation state and diffs between them.
+//! Snapshots of machine activity and diffs between them.
 //!
 //! Celestial's coordinator recomputes the constellation at a fixed update
-//! interval and sends the *changes* — machines to suspend or resume, network
-//! links to add, remove or re-shape — to the machine managers on each host.
-//! [`ConstellationSnapshot`] is that wire-level view of a state, and
-//! [`ConstellationDiff`] is the change set between two snapshots.
+//! interval and sends the *changes* to the machine managers on each host:
+//! machines to boot, suspend or resume as satellites cross the bounding box.
+//! [`ConstellationSnapshot`] is the desired activity of every machine at one
+//! instant, and [`ConstellationDiff`] is the change set between two
+//! snapshots. Links are not part of it: they are shaped from the per-host
+//! programme delta of the `ProgrammeStore` (`celestial::netprog`).
 
 use crate::constellation::ConstellationState;
-use crate::links::LinkKind;
 use celestial_types::ids::NodeId;
-use celestial_types::{Bandwidth, Latency};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Whether a node's machine should be running or suspended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -22,104 +21,67 @@ pub enum MachineActivity {
     Suspended,
 }
 
-/// The network properties a machine manager must program for a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkProperties {
-    /// One-way latency, already quantized to the 0.1 ms granularity at which
-    /// `tc-netem` is programmed.
-    pub latency: Latency,
-    /// Bandwidth cap of the link.
-    pub bandwidth: Bandwidth,
-    /// Kind of the link (informational).
-    pub kind: LinkKind,
-}
-
 /// A wire-level snapshot of the constellation at one instant: the desired
-/// activity of every machine and the desired shaping of every available link.
+/// activity of every machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ConstellationSnapshot {
     /// The simulated time of the snapshot in seconds.
     pub time_seconds: f64,
-    /// Desired machine activity per node.
-    pub machines: BTreeMap<NodeId, MachineActivity>,
-    /// Desired link shaping per canonical (ordered) node pair.
-    pub links: BTreeMap<(NodeId, NodeId), LinkProperties>,
+    /// Desired activity per node, in node-index order — satellites shell by
+    /// shell, then ground stations, which is ascending [`NodeId`] order.
+    pub machines: Vec<(NodeId, MachineActivity)>,
 }
 
 impl ConstellationSnapshot {
-    /// Builds a snapshot from a computed constellation state.
+    /// Builds a snapshot from a computed constellation state: satellites
+    /// follow their bounding-box activity, ground stations are always active.
     pub fn from_state(state: &ConstellationState) -> Self {
-        let mut machines = BTreeMap::new();
-        for idx in 0..state.node_count() {
-            let node = state.node_id(idx).expect("index in range");
-            let activity = match node {
-                NodeId::Satellite(sat) => {
-                    if state.is_active(sat).expect("satellite in range") {
-                        MachineActivity::Active
-                    } else {
-                        MachineActivity::Suspended
-                    }
-                }
-                NodeId::GroundStation(_) => MachineActivity::Active,
-            };
-            machines.insert(node, activity);
-        }
-
-        let mut links = BTreeMap::new();
-        for link in &state.links {
-            links.insert(
-                link.canonical_endpoints(),
-                LinkProperties {
-                    latency: link.latency.quantized_tenth_ms(),
-                    bandwidth: link.bandwidth,
-                    kind: link.kind,
-                },
-            );
-        }
-
+        let satellites = state.active_raw().iter().map(|&active| {
+            if active {
+                MachineActivity::Active
+            } else {
+                MachineActivity::Suspended
+            }
+        });
+        let ground_stations =
+            std::iter::repeat_n(MachineActivity::Active, state.ground_station_count());
+        let machines = satellites
+            .chain(ground_stations)
+            .enumerate()
+            .map(|(idx, activity)| (state.node_id(idx).expect("index in range"), activity))
+            .collect();
         ConstellationSnapshot {
             time_seconds: state.time_seconds,
             machines,
-            links,
         }
     }
 
-    /// Computes the change set that transforms this snapshot into `newer`.
+    /// Computes the change set that transforms this snapshot into `newer` in
+    /// one pass over both machine lists, so every list of the diff ascends in
+    /// [`NodeId`] order.
+    ///
+    /// Both snapshots come from one constellation, whose node set is fixed,
+    /// or this one is empty (the [`Default`] before the first epoch) and
+    /// every machine of `newer` is added.
     pub fn diff(&self, newer: &ConstellationSnapshot) -> ConstellationDiff {
         let mut diff = ConstellationDiff {
             time_seconds: newer.time_seconds,
             ..ConstellationDiff::default()
         };
-
-        for (node, activity) in &newer.machines {
-            match self.machines.get(node) {
-                None => diff.machines_added.push((*node, *activity)),
-                Some(old) if old != activity => match activity {
-                    MachineActivity::Active => diff.activated.push(*node),
-                    MachineActivity::Suspended => diff.suspended.push(*node),
-                },
-                Some(_) => {}
+        for (idx, &(node, activity)) in newer.machines.iter().enumerate() {
+            match self.machines.get(idx) {
+                None => diff.machines_added.push((node, activity)),
+                Some(&(old_node, old)) => {
+                    debug_assert_eq!(old_node, node, "snapshots of different constellations");
+                    if old != activity {
+                        match activity {
+                            MachineActivity::Active => diff.activated.push(node),
+                            MachineActivity::Suspended => diff.suspended.push(node),
+                        }
+                    }
+                }
             }
         }
-        for node in self.machines.keys() {
-            if !newer.machines.contains_key(node) {
-                diff.machines_removed.push(*node);
-            }
-        }
-
-        for (pair, props) in &newer.links {
-            match self.links.get(pair) {
-                None => diff.links_added.push((*pair, *props)),
-                Some(old) if old != props => diff.links_changed.push((*pair, *props)),
-                Some(_) => {}
-            }
-        }
-        for pair in self.links.keys() {
-            if !newer.links.contains_key(pair) {
-                diff.links_removed.push(*pair);
-            }
-        }
-
         diff
     }
 
@@ -128,36 +90,23 @@ impl ConstellationSnapshot {
     pub fn apply(&self, diff: &ConstellationDiff) -> ConstellationSnapshot {
         let mut result = self.clone();
         result.time_seconds = diff.time_seconds;
-        for (node, activity) in &diff.machines_added {
-            result.machines.insert(*node, *activity);
+        let mut set = |node: NodeId, activity| match result
+            .machines
+            .binary_search_by_key(&node, |&(node, _)| node)
+        {
+            Ok(idx) => result.machines[idx].1 = activity,
+            Err(idx) => result.machines.insert(idx, (node, activity)),
+        };
+        for &(node, activity) in &diff.machines_added {
+            set(node, activity);
         }
-        for node in &diff.machines_removed {
-            result.machines.remove(node);
+        for &node in &diff.activated {
+            set(node, MachineActivity::Active);
         }
-        for node in &diff.activated {
-            result.machines.insert(*node, MachineActivity::Active);
-        }
-        for node in &diff.suspended {
-            result.machines.insert(*node, MachineActivity::Suspended);
-        }
-        for (pair, props) in &diff.links_added {
-            result.links.insert(*pair, *props);
-        }
-        for pair in &diff.links_removed {
-            result.links.remove(pair);
-        }
-        for (pair, props) in &diff.links_changed {
-            result.links.insert(*pair, *props);
+        for &node in &diff.suspended {
+            set(node, MachineActivity::Suspended);
         }
         result
-    }
-
-    /// Number of active machines in the snapshot.
-    pub fn active_machine_count(&self) -> usize {
-        self.machines
-            .values()
-            .filter(|a| **a == MachineActivity::Active)
-            .count()
     }
 }
 
@@ -168,41 +117,21 @@ pub struct ConstellationDiff {
     pub time_seconds: f64,
     /// Nodes that appear for the first time, with their initial activity.
     pub machines_added: Vec<(NodeId, MachineActivity)>,
-    /// Nodes that no longer exist.
-    pub machines_removed: Vec<NodeId>,
     /// Machines to resume (satellite re-entered the bounding box).
     pub activated: Vec<NodeId>,
     /// Machines to suspend (satellite left the bounding box).
     pub suspended: Vec<NodeId>,
-    /// Links that became available, with their shaping parameters.
-    pub links_added: Vec<((NodeId, NodeId), LinkProperties)>,
-    /// Links that became unavailable.
-    pub links_removed: Vec<(NodeId, NodeId)>,
-    /// Links whose latency or bandwidth changed.
-    pub links_changed: Vec<((NodeId, NodeId), LinkProperties)>,
 }
 
 impl ConstellationDiff {
     /// Returns true if the diff contains no changes at all.
     pub fn is_empty(&self) -> bool {
-        self.machines_added.is_empty()
-            && self.machines_removed.is_empty()
-            && self.activated.is_empty()
-            && self.suspended.is_empty()
-            && self.links_added.is_empty()
-            && self.links_removed.is_empty()
-            && self.links_changed.is_empty()
+        self.change_count() == 0
     }
 
-    /// Total number of changed items in the diff.
+    /// Total number of changed machines in the diff.
     pub fn change_count(&self) -> usize {
-        self.machines_added.len()
-            + self.machines_removed.len()
-            + self.activated.len()
-            + self.suspended.len()
-            + self.links_added.len()
-            + self.links_removed.len()
-            + self.links_changed.len()
+        self.machines_added.len() + self.activated.len() + self.suspended.len()
     }
 }
 
@@ -225,17 +154,33 @@ mod tests {
             .expect("valid constellation")
     }
 
+    /// Two shells, as in the paper's meetup constellation: node indices of
+    /// the second shell follow the first's.
+    fn two_shells() -> Constellation {
+        Constellation::builder()
+            .shell(Shell::from_walker(WalkerShell::new(550.0, 53.0, 4, 6)))
+            .shell(Shell::from_walker(WalkerShell::new(1110.0, 53.8, 3, 5)))
+            .ground_station(presets::accra())
+            .bounding_box(BoundingBox::west_africa())
+            .build()
+            .expect("valid constellation")
+    }
+
+    fn ascending(nodes: impl IntoIterator<Item = NodeId>) -> bool {
+        let nodes: Vec<NodeId> = nodes.into_iter().collect();
+        nodes.windows(2).all(|pair| pair[0] < pair[1])
+    }
+
     #[test]
     fn snapshot_covers_all_nodes() {
         let c = constellation();
         let state = c.state_at(0.0).unwrap();
         let snapshot = ConstellationSnapshot::from_state(&state);
         assert_eq!(snapshot.machines.len(), 25);
-        assert_eq!(snapshot.links.len(), state.links.len());
         // Ground stations are always active.
         assert_eq!(
-            snapshot.machines[&NodeId::ground_station(0)],
-            MachineActivity::Active
+            snapshot.machines.last(),
+            Some(&(NodeId::ground_station(0), MachineActivity::Active))
         );
     }
 
@@ -250,28 +195,12 @@ mod tests {
     }
 
     #[test]
-    fn diff_detects_changes_over_time() {
-        let c = constellation();
-        let s0 = ConstellationSnapshot::from_state(&c.state_at(0.0).unwrap());
-        let s1 = ConstellationSnapshot::from_state(&c.state_at(120.0).unwrap());
-        let diff = s0.diff(&s1);
-        // Two minutes of orbital motion moves every satellite by hundreds of
-        // kilometres, so link latencies must change.
-        assert!(!diff.is_empty());
-        assert!(
-            !diff.links_changed.is_empty()
-                || !diff.links_added.is_empty()
-                || !diff.links_removed.is_empty()
-        );
-        assert_eq!(diff.time_seconds, 120.0);
-    }
-
-    #[test]
     fn diff_apply_round_trips() {
         let c = constellation();
         let s0 = ConstellationSnapshot::from_state(&c.state_at(0.0).unwrap());
         let s1 = ConstellationSnapshot::from_state(&c.state_at(300.0).unwrap());
         let diff = s0.diff(&s1);
+        assert_eq!(diff.time_seconds, 300.0);
         let rebuilt = s0.apply(&diff);
         assert_eq!(rebuilt, s1);
     }
@@ -300,11 +229,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(8))]
         #[test]
         fn apply_diff_reproduces_target_for_any_times(t0 in 0.0f64..3600.0, t1 in 0.0f64..3600.0) {
-            let c = constellation();
-            let s0 = ConstellationSnapshot::from_state(&c.state_at(t0).unwrap());
-            let s1 = ConstellationSnapshot::from_state(&c.state_at(t1).unwrap());
-            let diff = s0.diff(&s1);
-            prop_assert_eq!(s0.apply(&diff), s1);
+            for c in [constellation(), two_shells()] {
+                let s0 = ConstellationSnapshot::from_state(&c.state_at(t0).unwrap());
+                let s1 = ConstellationSnapshot::from_state(&c.state_at(t1).unwrap());
+                let diff = s0.diff(&s1);
+                prop_assert_eq!(s0.apply(&diff), s1.clone());
+                let first = ConstellationSnapshot::default().diff(&s1);
+                prop_assert_eq!(ConstellationSnapshot::default().apply(&first), s1);
+                // The testbed boots and suspends in the order of these lists.
+                prop_assert!(ascending(first.machines_added.iter().map(|&(node, _)| node)));
+                prop_assert!(ascending(diff.activated.iter().copied()));
+                prop_assert!(ascending(diff.suspended.iter().copied()));
+            }
         }
     }
 }

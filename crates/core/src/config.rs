@@ -203,17 +203,8 @@ impl TenantsConfig {
     /// Returns [`Error::Config`] for a zero or oversized count, a name list
     /// whose length disagrees with `count`, or duplicate/empty names.
     pub fn validate(&self) -> Result<()> {
-        if self.count < 1 {
-            return Err(Error::config(
-                "tenants count must be at least 1 (see docs/TENANTS.md)",
-            ));
-        }
-        if self.count > FLEET_CAP {
-            return Err(Error::config(format!(
-                "tenants count must be at most {FLEET_CAP}, got {} (see docs/TENANTS.md)",
-                self.count
-            )));
-        }
+        check_fleet_size(self.count, "docs/TENANTS.md")
+            .map_err(|problem| Error::config(format!("tenants count {problem}")))?;
         if !self.names.is_empty() && self.names.len() != self.count as usize {
             return Err(Error::config(format!(
                 "tenants lists {} names but count = {}; name every tenant or none \
@@ -396,17 +387,8 @@ impl ScenarioConfig {
     /// empty block list, out-of-range block parameters, or duplicate block
     /// names.
     pub fn validate(&self) -> Result<()> {
-        if self.tenants < 1 {
-            return Err(Error::config(
-                "scenario tenants must be at least 1 (see docs/SCENARIOS.md)",
-            ));
-        }
-        if self.tenants > FLEET_CAP {
-            return Err(Error::config(format!(
-                "scenario tenants must be at most {FLEET_CAP}, got {} (see docs/SCENARIOS.md)",
-                self.tenants
-            )));
-        }
+        check_fleet_size(self.tenants, "docs/SCENARIOS.md")
+            .map_err(|problem| Error::config(format!("scenario tenants {problem}")))?;
         if self.blocks.is_empty() {
             return Err(Error::config(
                 "a scenario needs at least one [[scenario.block]] (see docs/SCENARIOS.md)",
@@ -438,11 +420,9 @@ impl ScenarioConfig {
                 )));
             }
             for (key, value) in [("hit-ratio", block.hit_ratio), ("burst-prob", block.burst_prob)] {
-                if !(0.0..=1.0).contains(&value) || !value.is_finite() {
-                    return Err(Error::config(format!(
-                        "scenario block '{name}' {key} must be in [0, 1], got {value}"
-                    )));
-                }
+                check_ratio(value).map_err(|problem| {
+                    Error::config(format!("scenario block '{name}' {key} {problem}"))
+                })?;
             }
             if block.burst_factor < 1 {
                 return Err(Error::config(format!(
@@ -672,7 +652,8 @@ impl TestbedConfig {
     /// provisions nothing, so no oversized fleet is ever allocated.
     fn provision_shard_hosts(&mut self) {
         if let Some(shards) = self.shards {
-            if check_shard_count(shards).is_ok() && self.hosts.len() != shards as usize {
+            let valid = check_fleet_size(shards, "docs/SHARDING.md").is_ok();
+            if valid && self.hosts.len() != shards as usize {
                 self.hosts = vec![HostConfig::default(); shards as usize];
             }
         }
@@ -699,7 +680,8 @@ impl TestbedConfig {
         }
         self.path_algorithm.ensure_supported()?;
         if let Some(shards) = self.shards {
-            check_shard_count(shards).map_err(|problem| Error::config(format!("shards {problem}")))?;
+            check_fleet_size(shards, "docs/SHARDING.md")
+                .map_err(|problem| Error::config(format!("shards {problem}")))?;
             if shards as usize != self.hosts.len() {
                 return Err(Error::config(format!(
                     "shards = {shards} but {} hosts are configured; the sharded plane \
@@ -764,16 +746,26 @@ impl TestbedConfig {
     }
 }
 
-/// Shard counts are capped like tenant counts: at most this many.
+/// Shard, tenant and scenario tenant counts are capped: at most this many.
 const FLEET_CAP: u32 = 4096;
 
-/// The shard-count check, shared by [`TestbedConfig::validate`] and the TOML
-/// reader, which adds the key's line.
-fn check_shard_count(shards: u32) -> std::result::Result<(), String> {
-    if (1..=FLEET_CAP).contains(&shards) {
+/// The fleet-size check (shards, tenants, scenario tenants), shared by the
+/// `validate` methods and the TOML reader, which adds the key's line. The
+/// error points to `guide`.
+fn check_fleet_size(count: u32, guide: &str) -> std::result::Result<(), String> {
+    if (1..=FLEET_CAP).contains(&count) {
         return Ok(());
     }
-    Err(format!("must be in 1..={FLEET_CAP}, got {shards} (see docs/SHARDING.md)"))
+    Err(format!("must be in 1..={FLEET_CAP}, got {count} (see {guide})"))
+}
+
+/// The ratio check (`hit-ratio`, `burst-prob`), shared by
+/// [`ScenarioConfig::validate`] and the TOML reader.
+fn check_ratio(value: f64) -> std::result::Result<(), String> {
+    if (0.0..=1.0).contains(&value) {
+        return Ok(());
+    }
+    Err(format!("must be in [0, 1], got {value}"))
 }
 
 /// Sets one field of a section from a key's value.
@@ -834,6 +826,17 @@ impl Field<'_> {
 
     fn get<T: FromToml>(&self) -> Result<T> {
         T::from_field(self)
+    }
+
+    /// Converts the value and runs a check that `validate` shares, so the
+    /// check's error names the key and line too.
+    fn checked<T: FromToml + Copy>(
+        &self,
+        check: impl Fn(T) -> std::result::Result<(), String>,
+    ) -> Result<T> {
+        let value = self.get()?;
+        check(value).map_err(|problem| self.error(problem))?;
+        Ok(value)
     }
 
     /// Converts the value to the type of `slot` and stores it there.
@@ -970,6 +973,17 @@ macro_rules! field {
     };
 }
 
+/// A key table entry like [`field!`] whose value must also pass `$check`,
+/// a range check shared with `validate`.
+macro_rules! checked {
+    ($key:literal, $($field:ident).+, $check:expr) => {
+        ($key, |section, value| {
+            section.$($field).+ = value.checked($check)?;
+            Ok(())
+        })
+    };
+}
+
 static TOP_LEVEL: Section<TestbedConfig> = Section {
     name: "top-level",
     init: TestbedConfig::default,
@@ -982,9 +996,7 @@ static TOP_LEVEL: Section<TestbedConfig> = Section {
         field!("path-algorithm", path_algorithm),
         field!("pipeline", pipeline),
         ("shards", |c, v| {
-            let shards = v.get()?;
-            check_shard_count(shards).map_err(|problem| v.error(problem))?;
-            c.shards = Some(shards);
+            c.shards = Some(v.checked(|shards| check_fleet_size(shards, "docs/SHARDING.md"))?);
             Ok(())
         }),
         field!("host-latency-us", host_latency_us),
@@ -1009,6 +1021,7 @@ static TOP_LEVEL: Section<TestbedConfig> = Section {
         ("tenant", |c, v| {
             let names = v.sections(&TENANT)?;
             let count = u32::try_from(names.len()).unwrap_or(u32::MAX);
+            check_fleet_size(count, "docs/TENANTS.md").map_err(|problem| v.error(problem))?;
             set_tenants(c, v, TenantsConfig { count, names })
         }),
         ("scenario", |c, v| v.section(&SCENARIO).map(|s| c.scenario = Some(s))),
@@ -1136,7 +1149,10 @@ static TENANTS: Section<TenantsConfig> = Section {
     name: "[tenants]",
     init: TenantsConfig::default,
     required: &[],
-    keys: &[field!("count", count), field!("names", names)],
+    keys: &[
+        checked!("count", count, |count| check_fleet_size(count, "docs/TENANTS.md")),
+        field!("names", names),
+    ],
 };
 
 /// One `[[tenant]]` block: a tenant's name.
@@ -1152,7 +1168,7 @@ static SCENARIO: Section<ScenarioConfig> = Section {
     init: ScenarioConfig::default,
     required: &[],
     keys: &[
-        field!("tenants", tenants),
+        checked!("tenants", tenants, |count| check_fleet_size(count, "docs/SCENARIOS.md")),
         ("block", |s, v| v.sections(&SCENARIO_BLOCK).map(|blocks| s.blocks = blocks)),
     ],
 };
@@ -1170,8 +1186,8 @@ static SCENARIO_BLOCK: Section<ScenarioBlock> = Section {
         field!("fallback", fallback),
         field!("bitrate-bps", bitrate_bps),
         field!("interval-ms", interval_ms),
-        field!("hit-ratio", hit_ratio),
-        field!("burst-prob", burst_prob),
+        checked!("hit-ratio", hit_ratio, check_ratio),
+        checked!("burst-prob", burst_prob, check_ratio),
         field!("burst-factor", burst_factor),
     ],
 };

@@ -429,8 +429,13 @@ mod tests {
         assert_eq!(c.update_count(), 0);
         let diff = c.update(0.0).unwrap();
         assert_eq!(diff.machines_added.len(), 194);
-        assert!(!diff.links_added.is_empty());
-        assert!(diff.links_removed.is_empty());
+        // Links are shaped from the programme delta: the first one adds
+        // every programmed pair and removes nothing.
+        let delta = c.programme_delta();
+        assert!(c.programme_pair_count() > 0);
+        assert_eq!(delta.added.len(), c.programme_pair_count());
+        assert!(delta.changed.is_empty());
+        assert!(delta.removed.is_empty());
         assert_eq!(c.update_count(), 1);
         assert!(c.database().state().is_some());
     }
@@ -440,11 +445,11 @@ mod tests {
         let mut c = coordinator();
         c.update(0.0).unwrap();
         let diff = c.update(2.0).unwrap();
-        // After two seconds nothing is added or removed wholesale, but link
-        // latencies change.
+        // After two seconds no machine is added wholesale, but programmed
+        // path latencies change.
         assert!(diff.machines_added.is_empty());
-        assert!(diff.machines_removed.is_empty());
-        assert!(!diff.links_changed.is_empty() || !diff.links_added.is_empty());
+        let delta = c.programme_delta();
+        assert!(!delta.changed.is_empty() || !delta.added.is_empty());
     }
 
     #[test]

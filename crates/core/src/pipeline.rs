@@ -52,7 +52,7 @@
 //! contract and the `pipeline` configuration key.
 
 use crate::netprog::ProgrammeStore;
-use celestial_constellation::snapshot::{LinkProperties, MachineActivity};
+use celestial_constellation::snapshot::MachineActivity;
 use celestial_constellation::{
     Constellation, ConstellationDiff, ConstellationSnapshot, ConstellationState, PathEngine,
     ScopeParams, ShortestPaths, SolveScope, SolveStats, StateBuffers,
@@ -159,7 +159,8 @@ pub struct SharedEpoch {
     pub state: ConstellationState,
     /// The solved path matrix (ground stations + active satellites rows).
     pub paths: ShortestPaths,
-    /// The machine/link change set relative to the previous epoch.
+    /// The machine change set relative to the previous epoch: machines to
+    /// boot, suspend or resume. Links are shaped from the programme delta.
     pub diff: ConstellationDiff,
     /// How the path solve was executed.
     pub solve: SolveStats,
@@ -333,8 +334,9 @@ impl EpochCompute {
 
     /// Runs one epoch at `t_seconds`: batch propagation into the retained
     /// buffers, snapshot diff, source-restricted path solve and programme
-    /// delta. Returns the machine/link diff; the remaining results stay
-    /// inside (`state`, `paths`, `delta`, …) for bundling.
+    /// delta. Returns the machine diff; the remaining results stay inside
+    /// (`state`, `paths`, and the `delta` that shapes the links, …) for
+    /// bundling.
     ///
     /// # Errors
     ///
@@ -752,8 +754,8 @@ fn recv_bundle(
 
 /// Composes two consecutive epoch bundles into one, as if the first epoch
 /// had never been observed separately: the final state is the second
-/// bundle's, the change sets — machine/link diff and programme delta — are
-/// the composition of both.
+/// bundle's, the change sets — machine diff and the programme delta that
+/// shapes the links — are the composition of both.
 fn compose_bundles(first: Box<EpochBundle>, second: Box<EpochBundle>) -> Box<EpochBundle> {
     let mut bundle = second;
     {
@@ -786,121 +788,39 @@ fn clone_deltas_into(dst: &mut Vec<ProgrammeDelta>, src: &[ProgrammeDelta]) {
     }
 }
 
-/// Composes two consecutive machine/link change sets: applying the result to
-/// a snapshot is equivalent to applying `first` then `second`, with
-/// transitions that cancel out (activated → suspended, added → removed)
-/// dropped entirely.
+/// Composes two consecutive machine change sets: applying the result to a
+/// snapshot is equivalent to applying `first` then `second`, with
+/// transitions that cancel out (activated → suspended) dropped entirely.
+/// Links are not in these change sets; their composition is
+/// [`compose_deltas`] over the programme deltas.
 pub fn compose_diffs(first: &ConstellationDiff, second: &ConstellationDiff) -> ConstellationDiff {
     let mut out = ConstellationDiff {
         time_seconds: second.time_seconds,
         ..ConstellationDiff::default()
     };
 
-    // Machines. Track per node: whether it was created/destroyed in the
-    // window, and its first-known prior activity vs its final activity. The
-    // first operation seen for a node reveals its pre-window state
-    // (`activated` ⇒ it was suspended, `suspended` ⇒ it was active).
-    #[derive(Clone, Copy)]
-    struct MachineTrack {
-        prior: Option<MachineActivity>,
-        added: bool,
-        fin: Option<MachineActivity>, // None = removed
-    }
-    let mut machines: BTreeMap<NodeId, MachineTrack> = BTreeMap::new();
-    let track = |node: NodeId,
-                     machines: &mut BTreeMap<NodeId, MachineTrack>,
-                     prior: Option<MachineActivity>,
-                     added: bool,
-                     fin: Option<MachineActivity>| {
-        machines
-            .entry(node)
-            .and_modify(|t| {
-                t.added = t.added || added;
-                t.fin = fin;
-            })
-            .or_insert(MachineTrack { prior, added, fin });
-    };
+    // Per node: its activity before the window (`None` if it was added in
+    // the window) and its final activity. The first change seen for a node
+    // reveals its pre-window activity (`activated` ⇒ it was suspended,
+    // `suspended` ⇒ it was active).
+    use MachineActivity::{Active, Suspended};
+    let mut machines: BTreeMap<NodeId, (Option<MachineActivity>, MachineActivity)> =
+        BTreeMap::new();
     for diff in [first, second] {
-        for &(node, activity) in &diff.machines_added {
-            track(node, &mut machines, None, true, Some(activity));
-        }
-        for &node in &diff.machines_removed {
-            track(node, &mut machines, Some(MachineActivity::Active), false, None);
-        }
-        for &node in &diff.activated {
-            track(
-                node,
-                &mut machines,
-                Some(MachineActivity::Suspended),
-                false,
-                Some(MachineActivity::Active),
-            );
-        }
-        for &node in &diff.suspended {
-            track(
-                node,
-                &mut machines,
-                Some(MachineActivity::Active),
-                false,
-                Some(MachineActivity::Suspended),
-            );
+        let added = diff.machines_added.iter().map(|&(node, activity)| (node, None, activity));
+        let activated = diff.activated.iter().map(|&node| (node, Some(Suspended), Active));
+        let suspended = diff.suspended.iter().map(|&node| (node, Some(Active), Suspended));
+        for (node, prior, fin) in added.chain(activated).chain(suspended) {
+            machines.entry(node).or_insert((prior, fin)).1 = fin;
         }
     }
-    for (node, track) in machines {
-        match (track.added, track.prior, track.fin) {
-            // Created in the window and still present.
-            (true, _, Some(activity)) => out.machines_added.push((node, activity)),
-            // Created and destroyed within the window: invisible.
-            (true, _, None) => {}
-            (false, _, None) => out.machines_removed.push(node),
-            (false, prior, Some(fin)) => {
-                if prior != Some(fin) {
-                    match fin {
-                        MachineActivity::Active => out.activated.push(node),
-                        MachineActivity::Suspended => out.suspended.push(node),
-                    }
-                }
-            }
-        }
-    }
-
-    // Links: same pattern. First operation reveals pre-window presence
-    // (`added` ⇒ absent, `changed`/`removed` ⇒ present).
-    #[derive(Clone, Copy)]
-    struct LinkTrack<P> {
-        was_present: bool,
-        fin: Option<P>, // None = removed
-    }
-    let mut links: BTreeMap<(NodeId, NodeId), LinkTrack<LinkProperties>> = BTreeMap::new();
-    for diff in [first, second] {
-        for &(pair, props) in &diff.links_added {
-            links
-                .entry(pair)
-                .and_modify(|t| t.fin = Some(props))
-                .or_insert(LinkTrack { was_present: false, fin: Some(props) });
-        }
-        for &(pair, props) in &diff.links_changed {
-            links
-                .entry(pair)
-                .and_modify(|t| t.fin = Some(props))
-                .or_insert(LinkTrack { was_present: true, fin: Some(props) });
-        }
-        for &pair in &diff.links_removed {
-            links
-                .entry(pair)
-                .and_modify(|t| t.fin = None)
-                .or_insert(LinkTrack { was_present: true, fin: None });
-        }
-    }
-    for (pair, track) in links {
-        match (track.was_present, track.fin) {
-            (false, Some(props)) => out.links_added.push((pair, props)),
-            (false, None) => {}
-            (true, None) => out.links_removed.push(pair),
-            // Present before and after: re-shape. The properties may happen
-            // to equal the pre-window ones; re-programming an unchanged link
-            // is harmless, losing a change is not.
-            (true, Some(props)) => out.links_changed.push((pair, props)),
+    for (node, (prior, fin)) in machines {
+        match (prior, fin) {
+            (None, _) => out.machines_added.push((node, fin)),
+            (Some(Suspended), Active) => out.activated.push(node),
+            (Some(Active), Suspended) => out.suspended.push(node),
+            // Round trips cancel.
+            (Some(_), _) => {}
         }
     }
     out
@@ -955,7 +875,7 @@ pub fn compose_deltas(first: &ProgrammeDelta, second: &ProgrammeDelta) -> Progra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use celestial_constellation::{BoundingBox, GroundStation, LinkKind, Shell};
+    use celestial_constellation::{BoundingBox, GroundStation, Shell};
     use celestial_sgp4::WalkerShell;
     use celestial_types::geo::Geodetic;
     use celestial_types::{Bandwidth, Latency};
@@ -1159,29 +1079,22 @@ mod tests {
 
     #[test]
     fn compose_diffs_cancels_round_trips() {
-        let gst = NodeId::ground_station(0);
         let sat_a = NodeId::satellite(0, 1);
         let sat_b = NodeId::satellite(0, 2);
-        let props = |ms: f64| LinkProperties {
-            latency: Latency::from_millis_f64(ms),
-            bandwidth: Bandwidth::from_gbps(10),
-            kind: LinkKind::Isl,
-        };
+        let sat_c = NodeId::satellite(1, 0);
         let d1 = ConstellationDiff {
             time_seconds: 2.0,
+            machines_added: vec![(sat_c, MachineActivity::Active)],
             activated: vec![sat_a],
             suspended: vec![sat_b],
-            links_added: vec![((sat_a, sat_b), props(1.0))],
-            links_changed: vec![((gst, sat_a), props(2.0))],
             ..ConstellationDiff::default()
         };
         let d2 = ConstellationDiff {
             time_seconds: 4.0,
-            // sat_a round-trips back to suspended; sat_b comes back.
+            // sat_a round-trips back to suspended; sat_b comes back; the
+            // freshly added sat_c leaves the box.
             activated: vec![sat_b],
-            suspended: vec![sat_a],
-            links_removed: vec![(sat_a, sat_b)],
-            links_changed: vec![((gst, sat_a), props(3.0))],
+            suspended: vec![sat_a, sat_c],
             ..ConstellationDiff::default()
         };
         let composed = compose_diffs(&d1, &d2);
@@ -1189,11 +1102,8 @@ mod tests {
         // Both machine transitions cancel.
         assert!(composed.activated.is_empty(), "{:?}", composed.activated);
         assert!(composed.suspended.is_empty(), "{:?}", composed.suspended);
-        // The added-then-removed link vanishes; the double change collapses
-        // to the final properties.
-        assert!(composed.links_added.is_empty());
-        assert!(composed.links_removed.is_empty());
-        assert_eq!(composed.links_changed, vec![((gst, sat_a), props(3.0))]);
+        // A machine added in the window is added with its final activity.
+        assert_eq!(composed.machines_added, vec![(sat_c, MachineActivity::Suspended)]);
     }
 
     #[test]
@@ -1227,6 +1137,10 @@ mod tests {
         let d12 = s1.diff(&s2);
         let composed = compose_diffs(&d01, &d12);
         assert_eq!(s0.apply(&composed), s2);
+        // The same from before the first epoch, when every machine is added.
+        let empty = ConstellationSnapshot::default();
+        let composed = compose_diffs(&empty.diff(&s1), &d12);
+        assert_eq!(empty.apply(&composed), s2);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! - every single-character misspelling of every key in those documents is
 //!   rejected naming the misspelled key and its line;
 //! - known wrong inputs (unknown keys and sections, wrapped integers,
-//!   oversized fleets) are rejected naming the key and its line.
+//!   oversized fleets, ratios outside [0, 1]) are rejected naming the key
+//!   and its line.
 //!
 //! The properties run `PROPTEST_CASES` cases (64 by default).
 
@@ -258,6 +259,9 @@ fn every_shipped_document_parses() {
 #[test]
 fn known_bad_inputs_are_rejected_with_key_and_line() {
     let scenario_block = "[[scenario.block]]\nkind = \"cbr\"\n";
+    let tenant_blocks = |n: usize| -> String {
+        (0..n).map(|i| format!("[[tenant]]\nname = \"t{i}\"\n")).collect()
+    };
     // (document, key the error names, its line, value the error quotes)
     let cases: Vec<(String, &str, usize, &str)> = vec![
         (format!("sede = 2026\n{SHELL}"), "sede", 1, ""),
@@ -292,6 +296,20 @@ fn known_bad_inputs_are_rejected_with_key_and_line() {
         (format!("x = {}\n{SHELL}", "[".repeat(100_000)), "x", 1, ""),
         (format!("shards = 10000000\n{SHELL}"), "shards", 1, "10000000"),
         (format!("shards = 4294967297\n{SHELL}"), "shards", 1, "4294967297"),
+        (format!("{SHELL}[tenants]\ncount = 5000\n"), "count", 7, "5000"),
+        (format!("{SHELL}{}", tenant_blocks(4097)), "tenant", 6, "4097"),
+        (
+            format!("{SHELL}{STATION}[scenario]\ntenants = 5000\n{scenario_block}"),
+            "tenants",
+            11,
+            "5000",
+        ),
+        (
+            format!("{SHELL}{STATION}[[scenario.block]]\nname = \"edge\"\nhit-ratio = 1.5\n"),
+            "hit-ratio",
+            12,
+            "1.5",
+        ),
     ];
     for (document, key, line, value) in &cases {
         LARGEST.store(0, Ordering::Relaxed);

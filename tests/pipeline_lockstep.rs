@@ -28,9 +28,9 @@ fn constellation() -> Constellation {
 }
 
 /// Coordinator-level lockstep across well over 100 epochs: every observable
-/// of every update — the machine/link diff, the programme delta, the path
-/// matrix, the installed state and the `/info` counters — must be
-/// bit-identical between the two modes.
+/// of every update — the machine diff, the programme delta that shapes the
+/// links, the path matrix, the installed state and the `/info` counters —
+/// must be bit-identical between the two modes.
 #[test]
 fn pipelined_coordinator_is_bit_identical_to_synchronous_across_100_epochs() {
     let interval = SimDuration::from_secs(2);
